@@ -28,7 +28,6 @@ from .embedding import (
     combine_and_normalize,
     embed_graph,
     first_order_loss,
-    negative_sampler,
     second_order_negative_objective,
     sigmoid,
     train_line,
@@ -52,7 +51,6 @@ from .graph import (
     SuperNode,
     TransformedGraph,
     UnionFind,
-    aggregate_soft_links,
     build_supernodes,
     find_components,
     ingest_edges,

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .embedding import CombinedEmbedding
-from .graph import GraphParseError
+from .graph import GraphParseError, UnionFind
 
 # stand-in for an infinite density level at zero distance; keeps stability
 # arithmetic finite when duplicate points merge
@@ -101,17 +101,18 @@ def pairwise_cosine_distances(points: np.ndarray) -> np.ndarray:
     return D
 
 
-def core_distances(points: np.ndarray, k: int) -> np.ndarray:
-    """Distance to each point's k-th nearest neighbor (self excluded)."""
-    X = np.asarray(points, dtype=np.float64)
-    n = X.shape[0]
+def core_distances(distances: np.ndarray, k: int) -> np.ndarray:
+    """Distance to each point's k-th nearest neighbor (self excluded), read
+    from the dense all-pairs matrix of :func:`pairwise_cosine_distances`."""
+    D = np.asarray(distances, dtype=np.float64)
+    n = D.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
     if k >= n:
         raise ValueError(f"k ({k}) must be smaller than the number of points ({n})")
-    D = pairwise_cosine_distances(X)
-    # the self-distance 0 occupies one slot, so index k is the k-th neighbor
-    return np.partition(D, k, axis=1)[:, k]
+    # the self-distance 0 occupies one slot, so index k is the k-th neighbor;
+    # the copy lets the partitioned n x n buffer be freed
+    return np.partition(D, k, axis=1)[:, k].copy()
 
 
 def mutual_reachability(
@@ -121,22 +122,19 @@ def mutual_reachability(
     return max(float(core_a), float(core_b), cosine_distance(a, b))
 
 
-def mutual_reachability_matrix(distances: np.ndarray, cores: np.ndarray) -> np.ndarray:
-    M = np.maximum(distances, np.maximum.outer(cores, cores))
-    np.fill_diagonal(M, 0.0)
-    return M
+def build_mst(distances: np.ndarray, cores: np.ndarray) -> list[tuple[int, int, float]]:
+    """Minimum spanning tree of the mutual reachability graph (Prim, dense).
 
-
-def build_mst(points: np.ndarray, cores: np.ndarray) -> list[tuple[int, int, float]]:
-    """Minimum spanning tree of the mutual reachability graph (Prim, dense)."""
-    X = np.asarray(points, dtype=np.float64)
-    n = X.shape[0]
+    ``distances`` is the dense all-pairs matrix of
+    :func:`pairwise_cosine_distances`.  A float64 matrix is overwritten in
+    place with the mutual reachability distances, so no second n x n buffer
+    is allocated; pass a copy to keep the original.
+    """
+    M = np.asarray(distances, dtype=np.float64)
+    n = M.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points to span a tree")
     cores = np.asarray(cores, dtype=np.float64)
-    # in-place broadcast maxima: same values as mutual_reachability_matrix
-    # without materializing a second dense matrix
-    M = pairwise_cosine_distances(X)
     np.maximum(M, cores[:, None], out=M)
     np.maximum(M, cores[None, :], out=M)
     np.fill_diagonal(M, 0.0)
@@ -169,14 +167,7 @@ def _single_linkage(
     Returns merge records (children, distance, size).
     """
     order = sorted(mst_edges, key=lambda e: (e[2], min(e[0], e[1]), max(e[0], e[1])))
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(n)
     node_of = list(range(n))  # union-find root -> current dendrogram node
     size_of = {i: 1 for i in range(n)}
     merges: list[tuple[tuple[int, ...], float, int]] = []
@@ -188,17 +179,17 @@ def _single_linkage(
         while pos < len(order) and order[pos][2] == w:
             group.append(order[pos])
             pos += 1
-        # pre-group dendrogram nodes absorbed into each merged component;
-        # unions keep the first root so the dict keys stay live
+        # pre-group dendrogram nodes absorbed into each merged component,
+        # keyed by the component's current root
         absorbed: dict[int, list[int]] = {}
         for u, v, _ in group:
-            ru, rv = find(u), find(v)
+            ru, rv = uf.find(u), uf.find(v)
             if ru == rv:
                 continue
             nodes_u = absorbed.pop(ru, [node_of[ru]])
             nodes_v = absorbed.pop(rv, [node_of[rv]])
-            parent[rv] = ru
-            absorbed[ru] = nodes_u + nodes_v
+            uf.union(ru, rv)
+            absorbed[uf.find(ru)] = nodes_u + nodes_v
         for root, children in absorbed.items():
             size = sum(size_of[c] for c in children)
             merges.append((tuple(children), w, size))
@@ -372,10 +363,10 @@ def cluster(embedding: CombinedEmbedding, params: ClusterParams) -> ClusterAssig
     active = np.flatnonzero(nonzero)
     if active.size < 2:
         return ClusterAssignment(labels=labels)
-    pts = X[active]
+    D = pairwise_cosine_distances(X[active])
     k = min(params.effective_min_samples, active.size - 1)
-    cores = core_distances(pts, k)
-    mst = build_mst(pts, cores)
+    cores = core_distances(D, k)
+    mst = build_mst(D, cores)
     sub = extract_clusters(mst, params)
     labels[active] = sub.labels
     return ClusterAssignment(

@@ -247,10 +247,6 @@ class NegativeSampler:
         return self._alias.sample_array(self._rng, count)
 
 
-def negative_sampler(graph: TransformedGraph, seed: int = 0) -> NegativeSampler:
-    return NegativeSampler(graph, seed)
-
-
 _BLOCK = 4096
 _MAX_NEG_RETRIES = 16
 
@@ -264,12 +260,41 @@ def _sgd_step(
     lr: float,
     labels_full: np.ndarray,
 ) -> None:
+    """One negative-sampling ascent step for source i, context j and ``negs``.
+
+    ``labels_full`` is ``[1, 0, 0, ...]`` with at least ``1 + len(negs)``
+    entries; first-order training passes the same array as vertex and context.
+    """
     v_i = vertex[i]
     targets = np.concatenate(([j], negs))
     ctx_old = context[targets]  # fancy indexing copies: updates use old values
     gs = lr * (labels_full[: len(targets)] - sigmoid(ctx_old @ v_i))
     np.add.at(context, targets, gs[:, None] * v_i[None, :])
     vertex[i] += gs @ ctx_old
+
+
+def _redraw_negatives(
+    negs: np.ndarray,
+    i: int,
+    j: int,
+    noise_alias: AliasTable,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Redraw negatives that hit either endpoint of the pair (i, j).
+
+    Negatives still colliding after ``_MAX_NEG_RETRIES`` redraws are dropped,
+    so degenerate tiny graphs train with fewer.  ``negs`` is never modified.
+    """
+    bad = (negs == i) | (negs == j)
+    if not bad.any():
+        return negs
+    negs = negs.copy()
+    for _ in range(_MAX_NEG_RETRIES):
+        negs[bad] = noise_alias.sample_array(rng, int(bad.sum()))
+        bad = (negs == i) | (negs == j)
+        if not bad.any():
+            return negs
+    return negs[~bad]
 
 
 def _sgd_loop(
@@ -302,17 +327,7 @@ def _sgd_loop(
                 i, j = int(ej[e]), int(ei[e])
             else:
                 i, j = int(ei[e]), int(ej[e])
-            negs = negs_block[s]
-            bad = (negs == i) | (negs == j)
-            if bad.any():
-                negs = negs.copy()
-                for _ in range(_MAX_NEG_RETRIES):
-                    negs[bad] = noise_alias.sample_array(rng, int(bad.sum()))
-                    bad = (negs == i) | (negs == j)
-                    if not bad.any():
-                        break
-                else:
-                    negs = negs[~bad]  # degenerate tiny graphs: train with fewer
+            negs = _redraw_negatives(negs_block[s], i, j, noise_alias, rng)
             t = t_start + done + s
             lr = lr0 * (1.0 - t / t_total)
             if lr < lr_floor:

@@ -9,6 +9,7 @@ weights are aggregated between super-nodes to build the transformed graph.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
@@ -294,13 +295,15 @@ def ingest_edges(
                 weight = float(parts[3])
             except ValueError:
                 raise GraphParseError(f"bad weight {parts[3]!r}", lineno) from None
-            if weight <= 0:
-                raise GraphParseError(f"weight must be positive, got {weight}", lineno)
+            if not (weight > 0 and math.isfinite(weight)):
+                raise GraphParseError(f"weight must be positive and finite, got {weight}", lineno)
         if len(parts) == 5:
             try:
                 day = float(parts[4])
             except ValueError:
                 raise GraphParseError(f"bad timestamp {parts[4]!r}", lineno) from None
+            if not math.isfinite(day):
+                raise GraphParseError(f"timestamp must be finite, got {day}", lineno)
         u, v = intern(tu, lineno), intern(tv, lineno)
         stats.soft_records += 1
         if u == v:
@@ -384,35 +387,6 @@ def _aggregate(
     )
 
 
-def supernodes_from_membership(
-    graph: HeterogeneousGraph, membership: np.ndarray
-) -> list[SuperNode]:
-    """Reconstruct super-node records from a dense membership mapping."""
-    membership = np.asarray(membership)
-    if membership.shape != (graph.num_accounts,):
-        raise ValueError("membership must map every account")
-    k = int(membership.max()) + 1 if membership.size else 0
-    members: list[list[int]] = [[] for _ in range(k)]
-    for a, sid in enumerate(membership.tolist()):
-        members[sid].append(a)
-    risk = graph.risk
-    out = []
-    for sid, mem in enumerate(members):
-        if not mem:
-            raise ValueError(f"super-node {sid} has no members; ids must be dense")
-        r = float(risk[mem].sum()) if risk is not None else 0.0
-        out.append(SuperNode(id=sid, members=tuple(sorted(mem)), risk=r))
-    return out
-
-
-def aggregate_soft_links(
-    graph: HeterogeneousGraph, membership: np.ndarray
-) -> TransformedGraph:
-    """Sum soft-link weights between every pair of distinct super-nodes."""
-    supers = supernodes_from_membership(graph, membership)
-    return _aggregate(graph, supers, np.asarray(membership, dtype=np.int64))
-
-
 def transform(graph: HeterogeneousGraph) -> TransformedGraph:
     """Full transformation: components -> super-nodes -> aggregated soft edges."""
     uf = find_components(graph)
@@ -440,6 +414,7 @@ def read_transformed_graph(source: Iterable[str]) -> TransformedGraph:
     tokens: list[str] = []
     member_of: list[int] = []
     edges: list[tuple[int, int, float]] = []
+    pairs: set[tuple[int, int]] = set()
     declared: int | None = None
     for lineno, line in enumerate(source, start=1):
         line = line.rstrip("\n")
@@ -461,11 +436,17 @@ def read_transformed_graph(source: Iterable[str]) -> TransformedGraph:
                 i, j, w = int(parts[1]), int(parts[2]), float(parts[3])
             except ValueError:
                 raise GraphParseError("bad edge fields", lineno) from None
+            if i < 0 or j < 0:
+                raise GraphParseError("negative edge endpoint", lineno)
             if i == j:
                 raise GraphParseError("self-edge in transformed graph", lineno)
-            if w <= 0:
-                raise GraphParseError("edge weight must be positive", lineno)
-            edges.append((min(i, j), max(i, j), w))
+            if not (w > 0 and math.isfinite(w)):
+                raise GraphParseError("edge weight must be positive and finite", lineno)
+            pair = (min(i, j), max(i, j))
+            if pair in pairs:
+                raise GraphParseError(f"duplicate edge {pair[0]}-{pair[1]}", lineno)
+            pairs.add(pair)
+            edges.append((*pair, w))
             continue
         if len(parts) != 2:
             raise GraphParseError("membership line needs 2 fields", lineno)

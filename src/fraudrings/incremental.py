@@ -16,7 +16,14 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .clustering import ClusterAssignment, ClusterParams, cluster
-from .embedding import AliasTable, CombinedEmbedding, EmbeddingConfig, embed_graph, sigmoid
+from .embedding import (
+    AliasTable,
+    CombinedEmbedding,
+    EmbeddingConfig,
+    _redraw_negatives,
+    _sgd_step,
+    embed_graph,
+)
 from .graph import (
     HARD_KINDS,
     SOFT_KINDS,
@@ -254,29 +261,16 @@ class PipelineState:
             return
         alias = AliasTable(noise)
         emb = self.embedding
-        lr = self.online_learning_rate
         n_neg = self.online_negatives
         touched = {i, j}
         labels_full = np.zeros(n_neg + 1)
         labels_full[0] = 1.0
         for _ in range(samples):
             a, b = (i, j) if self.rng.random() < 0.5 else (j, i)
-            negs = alias.sample_array(self.rng, n_neg)
-            bad = (negs == a) | (negs == b)
-            for _ in range(16):
-                if not bad.any():
-                    break
-                negs[bad] = alias.sample_array(self.rng, int(bad.sum()))
-                bad = (negs == a) | (negs == b)
-            else:
-                negs = negs[~bad]
-            v = emb[a]
-            targets = np.concatenate(([b], negs))
-            ctx_old = emb[targets]
-            gs = lr * (labels_full[: len(targets)] - sigmoid(ctx_old @ v))
-            np.add.at(emb, targets, gs[:, None] * v[None, :])
-            emb[a] += gs @ ctx_old
-            touched.update(int(t) for t in targets)
+            negs = _redraw_negatives(alias.sample_array(self.rng, n_neg), a, b, alias, self.rng)
+            # first-order touch-up: the rows serve as vertex and context alike
+            _sgd_step(emb, emb, a, b, negs, self.online_learning_rate, labels_full)
+            touched.update(negs.tolist())
         for s in touched:
             norm = float(np.linalg.norm(emb[s]))
             if norm > 0.0:
@@ -572,8 +566,8 @@ def parse_update_log(source: Iterable[str]) -> list[UpdateEvent]:
                 if parts[2] not in SOFT_KINDS:
                     raise GraphParseError(f"unknown soft-link kind {parts[2]!r}", lineno)
                 weight = float(parts[4])
-                if weight <= 0:
-                    raise GraphParseError("weight must be positive", lineno)
+                if not (weight > 0 and math.isfinite(weight)):
+                    raise GraphParseError("weight must be positive and finite", lineno)
                 event = UpdateEvent.soft_link(parts[1], parts[2], parts[3], weight, float(parts[5]))
             else:
                 raise GraphParseError(f"unrecognized update record {tag!r}", lineno)
@@ -581,6 +575,8 @@ def parse_update_log(source: Iterable[str]) -> list[UpdateEvent]:
             if isinstance(exc, GraphParseError):
                 raise
             raise GraphParseError(f"bad update record: {exc}", lineno) from None
+        if not math.isfinite(event.day):
+            raise GraphParseError("timestamp must be finite", lineno)
         if event.day < last_day:
             raise GraphParseError("timestamps must be non-decreasing", lineno)
         last_day = event.day

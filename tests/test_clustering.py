@@ -69,12 +69,12 @@ class TestCoreDistances:
     def test_three_collinear_points(self):
         # pairwise cosine distances {1, 1, 2}
         pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        cores = core_distances(pts, 1)
+        cores = core_distances(pairwise_cosine_distances(pts), 1)
         np.testing.assert_allclose(cores, [1.0, 1.0, 1.0], atol=1e-12)
 
     def test_duplicate_pair_core_zero(self):
         pts = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        cores = core_distances(pts, 1)
+        cores = core_distances(pairwise_cosine_distances(pts), 1)
         assert cores[0] == pytest.approx(0.0, abs=1e-12)
         assert cores[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -82,15 +82,20 @@ class TestCoreDistances:
         for n in (5, 40, 200):
             pts = sphere_points(rng, n)
             k = int(rng.integers(1, min(6, n - 1) + 1))
-            cores = core_distances(pts, k)
             D = pairwise_cosine_distances(pts)
+            cores = core_distances(D, k)
             for i in range(n):
                 row = sorted(D[i][j] for j in range(n) if j != i)
                 assert cores[i] == pytest.approx(row[k - 1], abs=1e-12)
 
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError):
-            core_distances(np.eye(3), 3)
+            core_distances(pairwise_cosine_distances(np.eye(3)), 3)
+
+    def test_result_owns_its_memory(self, rng):
+        # a view would keep the partitioned n x n copy alive
+        cores = core_distances(pairwise_cosine_distances(sphere_points(rng, 50)), 3)
+        assert cores.base is None
 
 
 class TestMutualReachability:
@@ -112,20 +117,18 @@ class TestMutualReachability:
 
     def test_never_below_distance(self, rng):
         pts = sphere_points(rng, 30)
-        cores = core_distances(pts, 3)
         D = pairwise_cosine_distances(pts)
+        cores = core_distances(D, 3)
         for i in range(30):
             for j in range(i + 1, 30):
                 m = mutual_reachability(pts[i], pts[j], cores[i], cores[j])
                 assert m >= D[i, j] - 1e-12
 
     def test_matrix_helper_matches_scalar(self, rng):
-        from fraudrings.clustering import mutual_reachability_matrix
-
         pts = sphere_points(rng, 20)
-        cores = core_distances(pts, 2)
-        D = pairwise_cosine_distances(pts)
-        M = mutual_reachability_matrix(D, cores)
+        M = pairwise_cosine_distances(pts)
+        cores = core_distances(M, 2)
+        build_mst(M, cores)  # overwrites M with mutual reachability
         for i in range(20):
             assert M[i, i] == 0.0
             for j in range(i + 1, 20):
@@ -136,8 +139,8 @@ class TestMutualReachability:
 class TestBuildMst:
     def test_two_points_single_edge(self):
         pts = np.array([[1.0, 0.0], [0.0, 1.0]])
-        cores = core_distances(pts, 1)
-        edges = build_mst(pts, cores)
+        D = pairwise_cosine_distances(pts)
+        edges = build_mst(D, core_distances(D, 1))
         assert len(edges) == 1
         u, v, w = edges[0]
         assert {u, v} == {0, 1}
@@ -148,9 +151,9 @@ class TestBuildMst:
 
         for n in (10, 60, 200):
             pts = sphere_points(rng, n)
-            cores = core_distances(pts, 4)
-            edges = build_mst(pts, cores)
             D = pairwise_cosine_distances(pts)
+            cores = core_distances(D, 4)
+            edges = build_mst(D.copy(), cores)
             M = np.maximum(D, np.maximum.outer(cores, cores))
             np.fill_diagonal(M, 0.0)
             pairs = [(M[i, j], i, j) for i in range(n) for j in range(i + 1, n)]
@@ -161,7 +164,8 @@ class TestBuildMst:
 
     def test_tree_structure(self, rng):
         pts = sphere_points(rng, 25)
-        edges = build_mst(pts, core_distances(pts, 3))
+        D = pairwise_cosine_distances(pts)
+        edges = build_mst(D, core_distances(D, 3))
         assert len(edges) == 24
         parent = list(range(25))
 
@@ -178,7 +182,7 @@ class TestBuildMst:
 
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
-            build_mst(np.zeros((1, 3)), np.zeros(1))
+            build_mst(pairwise_cosine_distances(np.zeros((1, 3))), np.zeros(1))
 
 
 class TestExtractClusters:
@@ -259,6 +263,20 @@ class TestCluster:
     def test_single_point_is_noise(self):
         assignment = cluster(embedding_of(np.array([[1.0, 0.0]])), ClusterParams())
         assert assignment.labels.tolist() == [-1]
+
+    def test_one_distance_matrix_per_call(self, rng, monkeypatch):
+        import fraudrings.clustering as clustering
+
+        calls = []
+        real = clustering.pairwise_cosine_distances
+
+        def counting(points):
+            calls.append(len(points))
+            return real(points)
+
+        monkeypatch.setattr(clustering, "pairwise_cosine_distances", counting)
+        cluster(embedding_of(two_blobs(rng)), ClusterParams(min_cluster_size=5))
+        assert calls == [40]
 
     def test_deterministic(self, rng):
         pts = sphere_points(rng, 50)

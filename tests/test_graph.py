@@ -11,7 +11,6 @@ from fraudrings.graph import (
     HeterogeneousGraph,
     SoftLink,
     UnionFind,
-    aggregate_soft_links,
     build_supernodes,
     find_components,
     ingest_edges,
@@ -107,11 +106,16 @@ class TestIngest:
             "u\tcookie\tv\t0",
             "u\tbad_kind\tv",
             "u\tcookie\tv\tNaNish\t3",
+            "u\tcookie\tv\tnan",
+            "u\tcookie\tv\tinf",
+            "u\tcookie\tv\t1.0\tnan",
+            "u\tcookie\tv\t1.0\t-inf",
         ],
     )
     def test_malformed_soft_record_rejected(self, line):
-        with pytest.raises(GraphParseError):
+        with pytest.raises(GraphParseError) as err:
             ingest_edges([], [line])
+        assert err.value.line_number == 1
 
     def test_comment_and_blank_lines_ignored(self):
         g = ingest_edges(["# header", "", "a\tphone\tb"], ["# c", ""])
@@ -243,12 +247,6 @@ class TestAggregateSoftLinks:
                 got[(min(a, b), max(a, b))] = w
             assert got == expected
 
-    def test_accepts_membership_mapping(self):
-        g = fixture_graph()
-        _, membership = build_supernodes(g, find_components(g))
-        t = aggregate_soft_links(g, membership)
-        assert t.num_supernodes == 4
-
 
 class TestTransform:
     def test_fixture_end_to_end(self):
@@ -327,6 +325,21 @@ class TestTransformedGraphIO:
     def test_header_mismatch_rejected(self):
         with pytest.raises(GraphParseError):
             read_transformed_graph(["#supernodes 3", "a\t0", "b\t1"])
+
+    @pytest.mark.parametrize(
+        "edge_lines",
+        [
+            ["E\t-1\t1\t1.0"],  # numpy would read -1 as the last row
+            ["E\t0\t1\t1.0", "E\t1\t0\t2.0"],  # parallel edge
+            ["E\t0\t1\tnan"],
+            ["E\t0\t1\tinf"],
+        ],
+    )
+    def test_bad_edge_rejected_with_line_number(self, edge_lines):
+        lines = ["a\t0", "b\t1", *edge_lines]
+        with pytest.raises(GraphParseError) as err:
+            read_transformed_graph(lines)
+        assert err.value.line_number == len(lines)
 
     def test_weight_printed_six_decimals(self):
         t = transform(fixture_graph())

@@ -514,11 +514,29 @@ class TestUpdateLog:
 
     @pytest.mark.parametrize(
         "line",
-        ["Z\tx\t1", "H\ta\tphone\tb", "S\ta\tcookie\tb\t-1\t2", "H\ta\tbad\tb\t1"],
+        [
+            "Z\tx\t1",
+            "H\ta\tphone\tb",
+            "S\ta\tcookie\tb\t-1\t2",
+            "H\ta\tbad\tb\t1",
+            "S\ta\tcookie\tb\tnan\t2",
+            "S\ta\tcookie\tb\tinf\t2",
+            "S\ta\tcookie\tb\t1\tnan",
+            "A\tx\tnan",
+            "A\tx\tinf",
+            "H\ta\tphone\tb\t-inf",
+        ],
     )
     def test_malformed_records_rejected(self, line):
-        with pytest.raises(GraphParseError):
+        with pytest.raises(GraphParseError) as err:
             parse_update_log([line])
+        assert err.value.line_number == 1
+
+    def test_nan_day_cannot_hide_time_reversal(self):
+        # NaN compares false both ways, so 5 -> nan -> 1 used to pass
+        with pytest.raises(GraphParseError) as err:
+            parse_update_log(["A\tx\t5", "A\ty\tnan", "A\tz\t1"])
+        assert err.value.line_number == 2
 
     def test_apply_event_resolves_tokens(self):
         state = empty_state()
