@@ -9,7 +9,6 @@ concatenated and row-normalized for downstream clustering.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
@@ -45,7 +44,6 @@ class EmbeddingConfig:
     initial_learning_rate: float = 0.025
     samples_per_epoch: int | None = None
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.dim_total <= 0 or self.dim_total % 2 != 0:
@@ -58,8 +56,6 @@ class EmbeddingConfig:
             raise ValueError("initial_learning_rate must be positive")
         if self.samples_per_epoch is not None and self.samples_per_epoch < 1:
             raise ValueError("samples_per_epoch must be >= 1 when given")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     @property
     def dim_per_order(self) -> int:
@@ -370,8 +366,7 @@ def train_line(
     Each sample draws an edge ∝ weight, picks a direction uniformly, and takes
     one negative-sampling gradient step treating the edge as binary.  The
     learning rate decays linearly from the initial value to 1/100 of it over
-    all samples.  Single-worker runs are bit-deterministic for a fixed seed;
-    multi-worker runs race benignly on the shared arrays.
+    all samples.  Runs are bit-deterministic for a fixed seed.
     """
     if order not in _ORDER_CODE:
         raise ValueError(f"order must be 'first' or 'second', got {order!r}")
@@ -381,8 +376,7 @@ def train_line(
             "transformed graph has no edges; emit singleton (zero) embeddings instead"
         )
     d = cfg.dim_per_order
-    seed_key = [cfg.seed & _SEED_MASK, _ORDER_CODE[order]]
-    rng = np.random.default_rng(seed_key)
+    rng = np.random.default_rng([cfg.seed & _SEED_MASK, _ORDER_CODE[order]])
     vertex = (rng.random((n, d)) - 0.5) / d
     context = vertex if order == "first" else np.zeros((n, d))
 
@@ -396,31 +390,11 @@ def train_line(
 
     losses: list[float] | None = [] if track_loss else None
     for epoch in range(cfg.epochs):
-        t_start = epoch * samples_per_epoch
-        if cfg.workers == 1:
-            _sgd_loop(
-                vertex, context, ei, ej, edge_alias, noise_alias, rng,
-                cfg.negative_samples, order == "first", t_start,
-                samples_per_epoch, t_total, lr0, lr_floor,
-            )
-        else:
-            chunks = np.array_split(np.arange(samples_per_epoch), cfg.workers)
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                futures = []
-                for w, chunk in enumerate(chunks):
-                    if not len(chunk):
-                        continue
-                    wrng = np.random.default_rng(seed_key + [epoch, w])
-                    futures.append(
-                        pool.submit(
-                            _sgd_loop, vertex, context, ei, ej, edge_alias,
-                            noise_alias, wrng, cfg.negative_samples,
-                            order == "first", t_start + int(chunk[0]),
-                            len(chunk), t_total, lr0, lr_floor,
-                        )
-                    )
-                for f in futures:
-                    f.result()
+        _sgd_loop(
+            vertex, context, ei, ej, edge_alias, noise_alias, rng,
+            cfg.negative_samples, order == "first", epoch * samples_per_epoch,
+            samples_per_epoch, t_total, lr0, lr_floor,
+        )
         if losses is not None:
             losses.append(_epoch_loss(graph, order, vertex, context, cfg.negative_samples))
 
@@ -496,6 +470,8 @@ def read_embedding(source: Iterable[str]) -> CombinedEmbedding:
             raise GraphParseError("bad embedding row", lineno) from None
         if vec.size != dim:
             raise GraphParseError(f"expected {dim} values, got {vec.size}", lineno)
+        if not np.isfinite(vec).all():
+            raise GraphParseError("embedding values must be finite", lineno)
         rows[sid] = vec
     if n is None:
         raise GraphParseError("missing #embedding header")

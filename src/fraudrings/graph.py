@@ -70,7 +70,6 @@ class HeterogeneousGraph:
     tokens: list[str]
     hard_links: list[HardLink]
     soft_links: list[SoftLink]
-    risk: np.ndarray | None = None
     ingest_stats: IngestStats | None = None
     token_index: dict[str, int] = field(default_factory=dict)
 
@@ -90,7 +89,6 @@ class HeterogeneousGraph:
         tokens: Sequence[str],
         hard_links: Iterable[HardLink],
         soft_links: Iterable[SoftLink],
-        risk: np.ndarray | None = None,
     ) -> "HeterogeneousGraph":
         """Build a graph from already-indexed links, validating invariants."""
         n = len(tokens)
@@ -108,11 +106,7 @@ class HeterogeneousGraph:
                 raise ValueError(f"soft link self-loop: {e}")
             if e.weight <= 0:
                 raise ValueError(f"soft link weight must be positive: {e}")
-        if risk is not None:
-            risk = np.asarray(risk, dtype=np.float64)
-            if risk.shape != (n,):
-                raise ValueError("risk array must have one entry per account")
-        return cls(list(tokens), hard, soft, risk=risk)
+        return cls(list(tokens), hard, soft)
 
 
 class UnionFind:
@@ -169,7 +163,6 @@ class SuperNode:
 
     id: int
     members: tuple[int, ...]
-    risk: float = 0.0
 
     @property
     def size(self) -> int:
@@ -351,12 +344,10 @@ def build_supernodes(
         members_by_root.setdefault(find(a), []).append(a)
     membership = np.empty(n, dtype=np.int64)
     super_nodes: list[SuperNode] = []
-    risk = graph.risk
     for sid, members in enumerate(members_by_root.values()):
         for a in members:
             membership[a] = sid
-        r = float(risk[members].sum()) if risk is not None else 0.0
-        super_nodes.append(SuperNode(id=sid, members=tuple(members), risk=r))
+        super_nodes.append(SuperNode(id=sid, members=tuple(members)))
     return super_nodes, membership
 
 

@@ -20,6 +20,7 @@ from .embedding import (
     AliasTable,
     CombinedEmbedding,
     EmbeddingConfig,
+    _SEED_MASK,
     _redraw_negatives,
     _sgd_step,
     embed_graph,
@@ -35,8 +36,10 @@ from .graph import (
     UnionFind,
 )
 
-_SEED_MASK = (1 << 64) - 1
 PRUNE_THRESHOLD = 1e-9
+# the touch-up steps at the default batch schedule's learning-rate floor
+ONLINE_LEARNING_RATE = 0.025 / 100.0
+ONLINE_NEGATIVES = 5
 
 
 class UnknownAccountError(KeyError):
@@ -102,8 +105,6 @@ class PipelineState:
         dim: int = 128,
         decay_lambda: float = 0.01,
         nn_threshold: float = 0.3,
-        online_learning_rate: float = 0.025 / 100.0,
-        online_negatives: int = 5,
         online_samples_per_edge: int = 100,
         seed: int = 0,
         now: float = 0.0,
@@ -113,8 +114,6 @@ class PipelineState:
         self.dim = dim
         self.decay_lambda = decay_lambda
         self.nn_threshold = nn_threshold
-        self.online_learning_rate = online_learning_rate
-        self.online_negatives = online_negatives
         self.online_samples_per_edge = online_samples_per_edge
         self.now = now
         self.refresh_count = 0
@@ -124,7 +123,6 @@ class PipelineState:
         self.token_index: dict[str, int] = {}
         self.uf = UnionFind(0)
         self.members: list[list[int]] = []
-        self.risk: list[float] = []
         self.embedding = np.zeros((0, dim), dtype=np.float64)
         self.labels = np.zeros(0, dtype=np.int64)
         self.pending: set[int] = set()
@@ -165,7 +163,6 @@ class PipelineState:
         state.uf = UnionFind(len(state.tokens))
         for sn in graph.super_nodes:
             state.members.append(list(sn.members))
-            state.risk.append(sn.risk)
             anchor = sn.members[0]
             for other in sn.members[1:]:
                 state.uf.union(anchor, other)
@@ -211,7 +208,6 @@ class PipelineState:
     def _new_slot(self, account: int) -> int:
         slot = len(self.members)
         self.members.append([account])
-        self.risk.append(0.0)
         self.embedding = np.vstack([self.embedding, np.zeros((1, self.dim))])
         self.labels = np.append(self.labels, -1)
         self.adj[slot] = set()
@@ -229,7 +225,6 @@ class PipelineState:
                 self.adj[nb].add(dead)
             self.adj[dead] = self.adj.pop(last)
             self.members[dead] = self.members[last]
-            self.risk[dead] = self.risk[last]
             self.embedding[dead] = self.embedding[last]
             self.labels[dead] = self.labels[last]
             self.root_slot[self.uf.find(self.members[dead][0])] = dead
@@ -239,7 +234,6 @@ class PipelineState:
         else:
             self.adj.pop(last, None)
         self.members.pop()
-        self.risk.pop()
         self.embedding = self.embedding[:-1]
         self.labels = self.labels[:-1]
 
@@ -261,15 +255,15 @@ class PipelineState:
             return
         alias = AliasTable(noise)
         emb = self.embedding
-        n_neg = self.online_negatives
         touched = {i, j}
-        labels_full = np.zeros(n_neg + 1)
+        labels_full = np.zeros(ONLINE_NEGATIVES + 1)
         labels_full[0] = 1.0
         for _ in range(samples):
             a, b = (i, j) if self.rng.random() < 0.5 else (j, i)
-            negs = _redraw_negatives(alias.sample_array(self.rng, n_neg), a, b, alias, self.rng)
+            negs = alias.sample_array(self.rng, ONLINE_NEGATIVES)
+            negs = _redraw_negatives(negs, a, b, alias, self.rng)
             # first-order touch-up: the rows serve as vertex and context alike
-            _sgd_step(emb, emb, a, b, negs, self.online_learning_rate, labels_full)
+            _sgd_step(emb, emb, a, b, negs, ONLINE_LEARNING_RATE, labels_full)
             touched.update(negs.tolist())
         for s in touched:
             norm = float(np.linalg.norm(emb[s]))
@@ -286,7 +280,7 @@ class PipelineState:
         order = self._slot_order()
         new_of = {old: new for new, old in enumerate(order)}
         supers = [
-            SuperNode(id=new, members=tuple(sorted(self.members[old])), risk=self.risk[old])
+            SuperNode(id=new, members=tuple(sorted(self.members[old])))
             for new, old in enumerate(order)
         ]
         membership = np.empty(self.num_accounts, dtype=np.int64)
@@ -308,9 +302,6 @@ class PipelineState:
             tokens=list(self.tokens),
         )
         return graph, order
-
-    def to_transformed_graph(self, *, decayed: bool = True) -> TransformedGraph:
-        return self.snapshot(decayed=decayed)[0]
 
 
 # -- update operations -------------------------------------------------------
@@ -360,7 +351,6 @@ def apply_hard_link(
     state.embedding[keep] = merged_vec / norm if norm > 0.0 else merged_vec
 
     state.members[keep] = sorted(state.members[keep] + state.members[dead])
-    state.risk[keep] += state.risk[dead]
     state.labels[keep] = -1
     state.pending.discard(keep)
     state.pending.discard(dead)
@@ -481,7 +471,6 @@ def full_refresh(
 
     new_of = {old: new for new, old in enumerate(order)}
     state.members = [sorted(graph.super_nodes[new].members) for new in range(len(order))]
-    state.risk = [graph.super_nodes[new].risk for new in range(len(order))]
     state.embedding = np.array(emb.vectors, dtype=np.float64, copy=True)
     state.labels = np.array(assignment.labels, dtype=np.int64, copy=True)
     state.edges = {

@@ -8,6 +8,7 @@ the CLI stages one at a time on the intermediate files.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -81,7 +82,6 @@ _CONFIG_KEYS = {
     "initial_learning_rate": float,
     "samples_per_epoch": int,
     "seed": int,
-    "workers": int,
     "min_cluster_size": int,
     "min_samples": int,
     "decay_lambda": float,
@@ -98,7 +98,7 @@ _CONFIG_KEYS = {
 
 _EMBEDDING_KEYS = {
     "dim_total", "negative_samples", "epochs", "initial_learning_rate",
-    "samples_per_epoch", "seed", "workers",
+    "samples_per_epoch", "seed",
 }
 _CLUSTERING_KEYS = {"min_cluster_size", "min_samples"}
 
@@ -124,6 +124,8 @@ def parse_config(source: Iterable[str]) -> PipelineConfig:
             value = caster(raw)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value {raw!r} for {key}") from None
+        if caster is float and not math.isfinite(value):
+            raise ConfigError(f"line {lineno}: {key} must be finite, got {raw!r}")
         if key in _EMBEDDING_KEYS:
             embed_kwargs[key] = value
         elif key in _CLUSTERING_KEYS:
@@ -169,6 +171,8 @@ def read_risk_file(
             value = float(raw)
         except ValueError:
             raise GraphParseError(f"bad risk value {raw!r}", lineno) from None
+        if not math.isfinite(value):
+            raise GraphParseError(f"risk value must be finite, got {raw!r}", lineno)
         idx = token_index.get(token)
         if idx is not None:
             risk[idx] += value

@@ -307,7 +307,7 @@ def test_c10_incremental_batch_equivalence():
         events = random_event_log(rng)
         state = PipelineState(dim=4, online_samples_per_edge=0)
         replay_events(state, events)
-        incremental = state.to_transformed_graph(decayed=False)
+        incremental = state.snapshot(decayed=False)[0]
         batch = transform(accumulated_graph(events))
         assert canonical_partition(incremental.membership) == canonical_partition(
             batch.membership

@@ -18,6 +18,7 @@ from fraudrings.graph import (
     transform,
     write_transformed_graph,
 )
+from fraudrings.pipeline import supernode_risks
 
 from helpers import canonical_partition, random_hetero_graph
 from oracles import bfs_partition, direct_soft_aggregation, partition_sets
@@ -197,15 +198,11 @@ class TestBuildSupernodes:
                     assert membership[a] == sn.id
 
     def test_risk_indicators_summed(self):
-        g = HeterogeneousGraph.from_links(
-            ["a", "b", "c"],
-            [HardLink(0, 1, "phone")],
-            [],
-            risk=np.array([1.0, 2.5, 4.0]),
-        )
-        supers, _ = build_supernodes(g, find_components(g))
-        assert supers[0].risk == pytest.approx(3.5)
-        assert supers[1].risk == pytest.approx(4.0)
+        g = HeterogeneousGraph.from_links(["a", "b", "c"], [HardLink(0, 1, "phone")], [])
+        supers, membership = build_supernodes(g, find_components(g))
+        risks = supernode_risks(membership, np.array([1.0, 2.5, 4.0]), len(supers))
+        assert risks[0] == pytest.approx(3.5)
+        assert risks[1] == pytest.approx(4.0)
 
 
 class TestAggregateSoftLinks:

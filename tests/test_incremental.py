@@ -54,11 +54,11 @@ def seeded_state(tokens, hard=(), soft=(), dim=4, **kwargs) -> PipelineState:
 
 
 def state_partition(state):
-    return canonical_partition(state.to_transformed_graph(decayed=False).membership)
+    return canonical_partition(state.snapshot(decayed=False)[0].membership)
 
 
 def undecayed_weights(state):
-    graph = state.to_transformed_graph(decayed=False)
+    graph = state.snapshot(decayed=False)[0]
     out = {}
     for i, j, w in graph.edges:
         a = graph.super_nodes[i].members[0]

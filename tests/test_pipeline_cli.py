@@ -6,11 +6,13 @@ import pytest
 from fraudrings.cli import cli
 from fraudrings.clustering import ClusterParams
 from fraudrings.embedding import EmbeddingConfig
+from fraudrings.graph import GraphParseError
 from fraudrings.pipeline import (
     ConfigError,
     PipelineConfig,
     StageError,
     parse_config,
+    read_risk_file,
     risk_score,
     run_pipeline,
 )
@@ -84,12 +86,22 @@ class TestConfigParsing:
         assert cfg.out_dir == "/tmp/x"
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config(["no_such_key = 1"])
+        for line in ["no_such_key = 1", "workers = 2"]:
+            with pytest.raises(ConfigError, match="unknown config key"):
+                parse_config([line])
 
     def test_bad_value_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config(["epochs = banana"])
+        bad_lines = [
+            "epochs = banana",
+            "nn_threshold = nan",
+            "decay_lambda = nan",
+            "initial_learning_rate = nan",
+            "alpha_size = nan",
+            "decay_lambda = inf",
+        ]
+        for line in bad_lines:
+            with pytest.raises(ConfigError, match="line 2"):
+                parse_config(["# comment", line])
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ConfigError):
@@ -98,6 +110,14 @@ class TestConfigParsing:
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
             PipelineConfig(alpha_size=-0.1, alpha_density=0.6, alpha_indicator=0.5)
+
+
+class TestRiskFile:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected_with_line_number(self, bad):
+        with pytest.raises(GraphParseError) as exc:
+            read_risk_file(["a\t1", f"a\t{bad}"], {"a": 0})
+        assert exc.value.line_number == 2
 
 
 class TestRiskScore:
