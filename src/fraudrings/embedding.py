@@ -9,6 +9,7 @@ concatenated and row-normalized for downstream clustering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
@@ -52,8 +53,8 @@ class EmbeddingConfig:
             raise ValueError("negative_samples must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.initial_learning_rate <= 0:
-            raise ValueError("initial_learning_rate must be positive")
+        if not 0 < self.initial_learning_rate < math.inf:
+            raise ValueError("initial_learning_rate must be positive and finite")
         if self.samples_per_epoch is not None and self.samples_per_epoch < 1:
             raise ValueError("samples_per_epoch must be >= 1 when given")
 
@@ -114,16 +115,13 @@ class AliasTable:
 
 
 def sigmoid(x):
-    """Numerically stable logistic function for scalars and arrays."""
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out.reshape(np.shape(x))
+    """Numerically stable logistic function for scalars and arrays.
+
+    ``exp(-logaddexp(0, -x))`` never overflows, and tiny values keep their
+    relative precision.
+    """
+    out = np.exp(-np.logaddexp(0.0, -np.asarray(x, dtype=np.float64)))
+    return float(out) if np.ndim(x) == 0 else out
 
 
 @dataclass
@@ -243,97 +241,64 @@ class NegativeSampler:
         return self._alias.sample_array(self._rng, count)
 
 
-_BLOCK = 4096
+_DRAW = 4096  # pairs drawn per call into the random stream
+_MAX_BLOCK = 1024  # pairs per SGD block on large graphs
 _MAX_NEG_RETRIES = 16
 
 
-def _sgd_step(
-    vertex: np.ndarray,
-    context: np.ndarray,
-    i: int,
-    j: int,
-    negs: np.ndarray,
-    lr: float,
-    labels_full: np.ndarray,
-) -> None:
-    """One negative-sampling ascent step for source i, context j and ``negs``.
+def _draw_targets(
+    src: np.ndarray, dst: np.ndarray, n_negative: int, noise_alias: AliasTable, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Target rows ``[dst, negatives...]`` per pair, and which ones are live.
 
-    ``labels_full`` is ``[1, 0, 0, ...]`` with at least ``1 + len(negs)``
-    entries; first-order training passes the same array as vertex and context.
+    Negatives that hit either endpoint of their pair are redrawn, up to
+    ``_MAX_NEG_RETRIES`` times; any still colliding are marked dead, so
+    degenerate tiny graphs train with fewer negatives.
     """
-    v_i = vertex[i]
-    targets = np.concatenate(([j], negs))
-    ctx_old = context[targets]  # fancy indexing copies: updates use old values
-    gs = lr * (labels_full[: len(targets)] - sigmoid(ctx_old @ v_i))
-    np.add.at(context, targets, gs[:, None] * v_i[None, :])
-    vertex[i] += gs @ ctx_old
-
-
-def _redraw_negatives(
-    negs: np.ndarray,
-    i: int,
-    j: int,
-    noise_alias: AliasTable,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Redraw negatives that hit either endpoint of the pair (i, j).
-
-    Negatives still colliding after ``_MAX_NEG_RETRIES`` redraws are dropped,
-    so degenerate tiny graphs train with fewer.  ``negs`` is never modified.
-    """
-    bad = (negs == i) | (negs == j)
-    if not bad.any():
-        return negs
-    negs = negs.copy()
+    negs = noise_alias.sample_array(rng, (len(src), n_negative))
+    bad = (negs == src[:, None]) | (negs == dst[:, None])
     for _ in range(_MAX_NEG_RETRIES):
-        negs[bad] = noise_alias.sample_array(rng, int(bad.sum()))
-        bad = (negs == i) | (negs == j)
         if not bad.any():
-            return negs
-    return negs[~bad]
+            break
+        negs[bad] = noise_alias.sample_array(rng, int(bad.sum()))
+        bad = (negs == src[:, None]) | (negs == dst[:, None])
+    live = np.ones((len(src), n_negative + 1), dtype=bool)
+    live[:, 1:] = ~bad
+    return np.column_stack([dst, negs]), live
 
 
-def _sgd_loop(
-    vertex: np.ndarray,
-    context: np.ndarray,
-    ei: np.ndarray,
-    ej: np.ndarray,
-    edge_alias: AliasTable,
-    noise_alias: AliasTable,
-    rng: np.random.Generator,
-    n_negative: int,
-    symmetric: bool,
-    t_start: int,
-    t_count: int,
-    t_total: int,
-    lr0: float,
-    lr_floor: float,
+def _sgd_block(
+    vertex: np.ndarray, context: np.ndarray, src: np.ndarray, targets: np.ndarray, rate: np.ndarray
 ) -> None:
-    labels_full = np.zeros(n_negative + 1)
-    labels_full[0] = 1.0
-    done = 0
-    while done < t_count:
-        b = min(_BLOCK, t_count - done)
-        edge_ids = edge_alias.sample_array(rng, b)
-        flips = rng.random(b) < 0.5
-        negs_block = noise_alias.sample_array(rng, (b, n_negative))
-        for s in range(b):
-            e = edge_ids[s]
-            if flips[s]:
-                i, j = int(ej[e]), int(ei[e])
-            else:
-                i, j = int(ei[e]), int(ej[e])
-            negs = _redraw_negatives(negs_block[s], i, j, noise_alias, rng)
-            t = t_start + done + s
-            lr = lr0 * (1.0 - t / t_total)
-            if lr < lr_floor:
-                lr = lr_floor
-            _sgd_step(vertex, context, i, j, negs, lr, labels_full)
-            if symmetric:
-                # the direct-proximity objective is symmetric in the pair:
-                # one draw updates both endpoints as source
-                _sgd_step(vertex, context, j, i, negs, lr, labels_full)
-        done += b
+    """Negative-sampling ascent steps for a block of pairs, with stale reads.
+
+    Pair ``s`` has source row ``src[s]`` and target rows ``targets[s]``, its
+    positive first and then its negatives; ``rate[s, k]`` is the learning
+    rate of that term, and 0 switches the term off.  All gradients are taken
+    at the values the block starts from, and updates to a shared row add up.
+    First-order training passes the same array as vertex and context.
+    """
+    v = vertex[src]  # fancy indexing copies: updates use old values
+    c = context[targets]
+    g = -rate * sigmoid(np.einsum("bd,bkd->bk", v, c))
+    g[:, 0] += rate[:, 0]
+    vertex_steps = np.einsum("bk,bkd->bd", g, c)
+    # the context steps overwrite the gathered rows: one buffer less at peak
+    _scatter_add(context, targets, np.multiply(g[:, :, None], v[:, None, :], out=c))
+    _scatter_add(vertex, src, vertex_steps)
+
+
+def _scatter_add(out: np.ndarray, rows: np.ndarray, steps: np.ndarray) -> None:
+    """``out[rows[s]] += steps[s]`` for every s, summing over repeated rows.
+
+    One 1-d ``np.add.at`` over the (row, column) cells of the flat view of
+    ``out``, several times faster than ``np.add.at`` over rows.
+    """
+    if not out.flags.c_contiguous:
+        raise ValueError("scatter target must be C-contiguous")
+    d = out.shape[1]
+    cells = (rows.reshape(-1, 1) * d + np.arange(d)).ravel()
+    np.add.at(out.reshape(-1), cells, steps.ravel())
 
 
 def _epoch_loss(
@@ -364,7 +329,8 @@ def train_line(
     """Train one proximity order by weighted edge sampling.
 
     Each sample draws an edge ∝ weight, picks a direction uniformly, and takes
-    one negative-sampling gradient step treating the edge as binary.  The
+    one negative-sampling gradient step treating the edge as binary; samples
+    are applied in blocks whose reads are stale (:func:`_sgd_block`).  The
     learning rate decays linearly from the initial value to 1/100 of it over
     all samples.  Runs are bit-deterministic for a fixed seed.
     """
@@ -375,7 +341,7 @@ def train_line(
         raise EdgelessGraphError(
             "transformed graph has no edges; emit singleton (zero) embeddings instead"
         )
-    d = cfg.dim_per_order
+    d, k = cfg.dim_per_order, cfg.negative_samples
     rng = np.random.default_rng([cfg.seed & _SEED_MASK, _ORDER_CODE[order]])
     vertex = (rng.random((n, d)) - 0.5) / d
     context = vertex if order == "first" else np.zeros((n, d))
@@ -386,17 +352,35 @@ def train_line(
     samples_per_epoch = cfg.samples_per_epoch or len(graph.edges)
     t_total = cfg.epochs * samples_per_epoch
     lr0 = cfg.initial_learning_rate
-    lr_floor = lr0 / 100.0
+    # a pair touches 2 + k rows and first-order blocks hold both directions,
+    # so a row is touched about once per block; tiny graphs train one pair
+    # at a time
+    rows = max(1, min(_MAX_BLOCK, n // (2 * (k + 1)))) * (2 if order == "first" else 1)
 
     losses: list[float] | None = [] if track_loss else None
     for epoch in range(cfg.epochs):
-        _sgd_loop(
-            vertex, context, ei, ej, edge_alias, noise_alias, rng,
-            cfg.negative_samples, order == "first", epoch * samples_per_epoch,
-            samples_per_epoch, t_total, lr0, lr_floor,
-        )
+        end = (epoch + 1) * samples_per_epoch
+        for t in range(epoch * samples_per_epoch, end, _DRAW):
+            b = min(_DRAW, end - t)
+            edge_ids = edge_alias.sample_array(rng, b)
+            flips = rng.random(b) < 0.5
+            src = np.where(flips, ej[edge_ids], ei[edge_ids])
+            dst = np.where(flips, ei[edge_ids], ej[edge_ids])
+            targets, live = _draw_targets(src, dst, k, noise_alias, rng)
+            lr = np.maximum(lr0 * (1.0 - (t + np.arange(b)) / t_total), lr0 / 100.0)
+            rate = lr[:, None] * live
+            if order == "first":
+                # the direct-proximity objective is symmetric in the pair:
+                # one draw updates both endpoints as source, in one block
+                src = np.column_stack([src, dst]).ravel()
+                targets = np.repeat(targets, 2, axis=0)
+                targets[1::2, 0] = src[::2]
+                rate = np.repeat(rate, 2, axis=0)
+            for s in range(0, len(src), rows):
+                block = slice(s, s + rows)
+                _sgd_block(vertex, context, src[block], targets[block], rate[block])
         if losses is not None:
-            losses.append(_epoch_loss(graph, order, vertex, context, cfg.negative_samples))
+            losses.append(_epoch_loss(graph, order, vertex, context, k))
 
     # super-nodes without any soft edge stay out of clustering: zero them out
     isolated = graph.weighted_degrees() == 0.0

@@ -21,8 +21,8 @@ from .embedding import (
     CombinedEmbedding,
     EmbeddingConfig,
     _SEED_MASK,
-    _redraw_negatives,
-    _sgd_step,
+    _draw_targets,
+    _sgd_block,
     embed_graph,
 )
 from .graph import (
@@ -109,8 +109,8 @@ class PipelineState:
         seed: int = 0,
         now: float = 0.0,
     ):
-        if decay_lambda < 0:
-            raise ValueError("decay_lambda must be non-negative")
+        if not 0 <= decay_lambda < math.inf:
+            raise ValueError("decay_lambda must be non-negative and finite")
         self.dim = dim
         self.decay_lambda = decay_lambda
         self.nn_threshold = nn_threshold
@@ -168,7 +168,7 @@ class PipelineState:
                 state.uf.union(anchor, other)
         for slot in range(len(state.members)):
             state.root_slot[state.uf.find(state.members[slot][0])] = slot
-        state.embedding = np.array(embedding.vectors, dtype=np.float64, copy=True)
+        state.embedding = np.array(embedding.vectors, dtype=np.float64, copy=True, order="C")
         state.labels = np.array(assignment.labels, dtype=np.int64, copy=True)
         state.adj = {s: set() for s in range(len(state.members))}
         for i, j, w in graph.edges:
@@ -254,21 +254,17 @@ class PipelineState:
         if float(noise.sum()) <= 0.0:
             return
         alias = AliasTable(noise)
+        src = np.where(self.rng.random(samples) < 0.5, i, j)
+        dst = i + j - src
+        targets, live = _draw_targets(src, dst, ONLINE_NEGATIVES, alias, self.rng)
+        # first-order touch-up: the rows serve as vertex and context alike.
+        # All samples take one block: at this rate no row moves by more than
+        # about samples * rate, so the stale reads matter at second order only
         emb = self.embedding
-        touched = {i, j}
-        labels_full = np.zeros(ONLINE_NEGATIVES + 1)
-        labels_full[0] = 1.0
-        for _ in range(samples):
-            a, b = (i, j) if self.rng.random() < 0.5 else (j, i)
-            negs = alias.sample_array(self.rng, ONLINE_NEGATIVES)
-            negs = _redraw_negatives(negs, a, b, alias, self.rng)
-            # first-order touch-up: the rows serve as vertex and context alike
-            _sgd_step(emb, emb, a, b, negs, ONLINE_LEARNING_RATE, labels_full)
-            touched.update(negs.tolist())
-        for s in touched:
-            norm = float(np.linalg.norm(emb[s]))
-            if norm > 0.0:
-                emb[s] /= norm
+        _sgd_block(emb, emb, src, targets, ONLINE_LEARNING_RATE * live)
+        touched = np.unique(np.append(targets, [i, j]))
+        norms = np.linalg.norm(emb[touched], axis=1, keepdims=True)
+        emb[touched] /= np.where(norms > 0.0, norms, 1.0)
 
     # -- snapshots ----------------------------------------------------------
 

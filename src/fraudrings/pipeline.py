@@ -67,10 +67,15 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         weights = (self.alpha_size, self.alpha_density, self.alpha_indicator)
-        if any(w < 0 for w in weights):
+        # every check is written so that NaN fails it
+        if not all(w >= 0 for w in weights):
             raise ConfigError("risk weights must be non-negative")
-        if abs(sum(weights) - 1.0) > 1e-9:
+        if not abs(sum(weights) - 1.0) <= 1e-9:
             raise ConfigError(f"risk weights must sum to 1, got {sum(weights)}")
+        if not 0 <= self.decay_lambda < math.inf:
+            raise ConfigError("decay_lambda must be non-negative and finite")
+        if not math.isfinite(self.nn_threshold):
+            raise ConfigError("nn_threshold must be finite")
         if self.size_cap < 1:
             raise ConfigError("size_cap must be >= 1")
 

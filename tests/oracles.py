@@ -251,3 +251,32 @@ def reference_hdbscan(points, min_cluster_size: int, min_samples: int):
     for p, c in owner.items():
         labels[p] = firsts[c]
     return labels
+
+
+# -- negative-sampling SGD ---------------------------------------------------
+
+
+def _logistic(x: float) -> float:
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def sequential_sgd_step(vertex, context, i: int, j: int, negatives, lr: float) -> None:
+    """One negative-sampling ascent step for source i and positive j, in place.
+
+    The per-sample update that training took before block updates: every
+    gradient at the current values, each sample seeing the previous one's
+    writes.  First-order training passes the same array as vertex and context.
+    """
+    v_i = vertex[i].copy()
+    targets = [j, *negatives]
+    old = [context[t].copy() for t in targets]
+    coeffs = [
+        lr * ((1.0 if k == 0 else 0.0) - _logistic(float(c @ v_i)))
+        for k, c in enumerate(old)
+    ]
+    for t, g in zip(targets, coeffs):
+        context[t] += g * v_i
+    vertex[i] += sum(g * c for g, c in zip(coeffs, old))

@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from fraudrings import embedding
 from fraudrings.embedding import (
     AliasTable,
     EdgelessGraphError,
     EmbeddingConfig,
     EmbeddingMatrix,
     NegativeSampler,
+    _sgd_block,
     combine_and_normalize,
     embed_graph,
     first_order_loss,
@@ -25,6 +27,7 @@ from fraudrings.embedding import (
 from fraudrings.graph import GraphParseError
 
 from helpers import ring_graph
+from oracles import sequential_sgd_step
 
 
 class TestAliasTable:
@@ -189,6 +192,73 @@ class TestNegativeSamplingObjective:
                 )
 
 
+class TestSgdBlock:
+    """The block kernel against the analytic gradients and per-sample steps."""
+
+    def test_single_pair_takes_lr_times_analytic_gradients(self, rng):
+        for _ in range(20):
+            n, d, k, lr = 10, 6, 4, 0.05
+            vertex = rng.normal(scale=0.7, size=(n, d))
+            context = rng.normal(scale=0.7, size=(n, d))
+            i, j = 0, 1
+            negatives = [int(x) for x in rng.permutation(np.arange(2, n))[:k]]
+            g_vi, g_cj, g_cn = second_order_negative_gradients(
+                i, j, negatives, EmbeddingMatrix(vertex, context)
+            )
+            new_v, new_c = vertex.copy(), context.copy()
+            _sgd_block(
+                new_v, new_c, np.array([i]), np.array([[j, *negatives]]),
+                np.full((1, k + 1), lr),
+            )
+            np.testing.assert_allclose(new_v[i] - vertex[i], lr * g_vi, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(new_c[j] - context[j], lr * g_cj, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                new_c[negatives] - context[negatives], lr * g_cn, rtol=0, atol=1e-12
+            )
+            others = np.setdiff1d(np.arange(n), [j, *negatives])
+            assert np.array_equal(new_c[others], context[others])
+            assert np.array_equal(np.delete(new_v, i, axis=0), np.delete(vertex, i, axis=0))
+
+    def test_zero_rate_term_is_the_dropped_negative(self, rng):
+        n, d, lr = 8, 5, 0.1
+        vertex = rng.normal(size=(n, d))
+        context = rng.normal(size=(n, d))
+        rate = np.full((1, 4), lr)
+        rate[0, 2] = 0.0  # the negative 4 is switched off
+        new_v, new_c = vertex.copy(), context.copy()
+        _sgd_block(new_v, new_c, np.array([0]), np.array([[1, 3, 4, 5]]), rate)
+        ref_v, ref_c = vertex.copy(), context.copy()
+        sequential_sgd_step(ref_v, ref_c, 0, 1, [3, 5], lr)
+        assert np.array_equal(new_c[4], context[4])
+        np.testing.assert_allclose(new_v, ref_v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(new_c, ref_c, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("order", ["first", "second"])
+    def test_disjoint_block_equals_sequential_steps(self, rng, order):
+        n, d, k, b = 40, 8, 3, 6
+        for _ in range(10):
+            vertex = rng.normal(scale=0.5, size=(n, d))
+            context = vertex if order == "first" else rng.normal(scale=0.5, size=(n, d))
+            rows = rng.permutation(n)[: b * (k + 2)].reshape(b, k + 2)
+            src, targets = rows[:, 0], rows[:, 1:]
+            lr = rng.uniform(0.01, 0.1, size=b)
+
+            def fresh():
+                v = vertex.copy()
+                return (v, v) if order == "first" else (v, context.copy())
+
+            blk_v, blk_c = fresh()
+            _sgd_block(blk_v, blk_c, src, targets, np.repeat(lr[:, None], k + 1, axis=1))
+            seq_v, seq_c = fresh()
+            for s in range(b):
+                sequential_sgd_step(
+                    seq_v, seq_c, int(src[s]), int(targets[s, 0]),
+                    [int(x) for x in targets[s, 1:]], float(lr[s]),
+                )
+            np.testing.assert_allclose(blk_v, seq_v, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(blk_c, seq_c, rtol=0, atol=1e-12)
+
+
 class TestNegativeSampler:
     def test_equal_degrees_split_evenly(self):
         g = ring_graph([(0, 1, 1.0)], 2)
@@ -286,6 +356,24 @@ class TestTrainLine:
         assert np.array_equal(a.vertex, b.vertex)
         assert np.array_equal(a.context, b.context)
 
+    @pytest.mark.parametrize("order", ["first", "second"])
+    def test_same_seed_bit_identical_with_real_blocks(self, order, monkeypatch):
+        block_rows = []
+
+        def spy(vertex, context, src, targets, rate):
+            block_rows.append(len(src))
+            _sgd_block(vertex, context, src, targets, rate)
+
+        monkeypatch.setattr(embedding, "_sgd_block", spy)
+        g = two_block_graph(np.random.default_rng(17), block=40)
+        cfg = EmbeddingConfig(dim_total=16, epochs=2, samples_per_epoch=2000, seed=8)
+        a = train_line(g, order, cfg)
+        b = train_line(g, order, cfg)
+        # more than one pair per block (first-order blocks hold two rows a pair)
+        assert max(block_rows) > 2
+        assert np.array_equal(a.vertex, b.vertex)
+        assert np.array_equal(a.context, b.context)
+
     def test_no_nan_at_default_config(self):
         g = two_block_graph(np.random.default_rng(3), block=12)
         emb = train_line(g, "first", EmbeddingConfig(seed=1))
@@ -358,6 +446,8 @@ class TestEmbeddingConfig:
             {"epochs": 0},
             {"initial_learning_rate": 0.0},
             {"samples_per_epoch": 0},
+            {"initial_learning_rate": math.nan},
+            {"initial_learning_rate": math.inf},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

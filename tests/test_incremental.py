@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from fraudrings import incremental
 from fraudrings.clustering import ClusterParams, cluster
-from fraudrings.embedding import EmbeddingConfig, embed_graph
+from fraudrings.embedding import EmbeddingConfig, _sgd_block, embed_graph
 from fraudrings.graph import (
     GraphParseError,
     HardLink,
@@ -17,6 +18,7 @@ from fraudrings.graph import (
     transform,
 )
 from fraudrings.incremental import (
+    ONLINE_LEARNING_RATE,
     DuplicateAccountError,
     PipelineState,
     UnknownAccountError,
@@ -33,7 +35,13 @@ from fraudrings.incremental import (
     write_update_log,
 )
 
-from helpers import accumulated_graph, canonical_partition, random_event_log
+from helpers import (
+    accumulated_graph,
+    canonical_partition,
+    random_event_log,
+    random_hetero_graph,
+)
+from oracles import sequential_sgd_step
 
 
 def empty_state(**kwargs) -> PipelineState:
@@ -216,6 +224,50 @@ class TestSoftLink:
         assert float(moved @ np.array([1.0, 0.0, 0.0, 0.0])) > 0.0
 
 
+def spy_on_kernel(monkeypatch) -> list[tuple]:
+    """Record (rows before, rows after, src, targets, rate) per kernel call."""
+    calls = []
+
+    def spy(vertex, context, src, targets, rate):
+        before = vertex.copy()
+        _sgd_block(vertex, context, src, targets, rate)
+        calls.append((before, vertex.copy(), src, targets, rate))
+
+    monkeypatch.setattr(incremental, "_sgd_block", spy)
+    return calls
+
+
+class TestOnlineTouchUp:
+    def test_one_block_within_second_order_of_sequential_steps(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        state = PipelineState(dim=16, seed=6, online_samples_per_edge=0)
+        for t in range(30):
+            apply_new_account(state, f"a{t}")
+        for _ in range(60):
+            u, v = rng.choice(30, 2, replace=False)
+            apply_soft_link(state, SoftLink(int(u), int(v), "cookie", 1.0))
+        rows = rng.normal(size=(30, 16))
+        state.embedding[:] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        state.online_samples_per_edge = 100
+        calls = spy_on_kernel(monkeypatch)
+        apply_soft_link(state, SoftLink(0, 1, "cookie", 1.0))
+        assert len(calls) == 1
+        before, after, src, targets, rate = calls[0]
+        samples, lr = len(src), ONLINE_LEARNING_RATE
+        # rows start at unit norm and a sample moves a row by about lr, so no
+        # row moves by more than about samples * lr in the call; reading the
+        # block's start values instead of the latest ones costs the square
+        tol = (samples * lr) ** 2
+        seq = before.copy()
+        for s in range(samples):
+            live = rate[s, 1:] > 0
+            negatives = [int(x) for x in targets[s, 1:][live]]
+            sequential_sgd_step(seq, seq, int(src[s]), int(targets[s, 0]), negatives, lr)
+        assert np.linalg.norm(after - seq, axis=1).max() <= tol
+        # the touch-up moves rows by far more than the tolerance
+        assert np.linalg.norm(after - before, axis=1).max() > 10 * tol
+
+
 class TestDecay:
     def test_zero_elapsed_keeps_weight(self):
         state = seeded_state(["a", "b"], soft=[("a", "cookie", "b", 1.0)])
@@ -257,6 +309,11 @@ class TestDecay:
             current = state.effective_weight((0, 1))
             assert current <= previous
             previous = current
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, rate):
+        with pytest.raises(ValueError):
+            PipelineState(decay_lambda=rate)
 
     def test_time_reversal_rejected(self):
         state = seeded_state(["a"])
@@ -425,6 +482,21 @@ class TestStateConsistency:
                 UpdateEvent.soft_link("post0", "cookie", "post1", 1.0, state.now),
             ])
             check_state_invariants(state)
+
+    def test_same_seed_replay_bit_identical(self, monkeypatch):
+        calls = spy_on_kernel(monkeypatch)
+        base = transform(random_hetero_graph(np.random.default_rng(44), max_accounts=60))
+        emb = embed_graph(base, EmbeddingConfig(dim_total=8, epochs=2, seed=3))
+        asn = cluster(emb, ClusterParams(min_cluster_size=3))
+        events = random_event_log(np.random.default_rng(45))
+        runs = []
+        for _ in range(2):
+            state = PipelineState.from_batch(base, emb, asn, seed=12)
+            replay_events(state, events)
+            runs.append(state)
+        assert max(len(src) for _, _, src, _, _ in calls) > 1
+        assert np.array_equal(runs[0].embedding, runs[1].embedding)
+        assert np.array_equal(runs[0].labels, runs[1].labels)
 
     def test_bootstrap_plus_events_matches_batch(self, rng):
         base_tokens = [f"b{i}" for i in range(12)]

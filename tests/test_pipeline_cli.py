@@ -1,5 +1,7 @@
 """Config parsing, risk scoring, pipeline orchestration, and CLI behavior."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,14 @@ class TestConfigParsing:
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
             PipelineConfig(alpha_size=-0.1, alpha_density=0.6, alpha_indicator=0.5)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"alpha_size": math.nan}, {"nn_threshold": math.nan}, {"decay_lambda": math.nan}],
+    )
+    def test_nan_rejected_by_constructor(self, kwargs):
+        with pytest.raises(ConfigError):
+            PipelineConfig(**kwargs)
 
 
 class TestRiskFile:
