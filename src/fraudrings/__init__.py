@@ -16,7 +16,6 @@ from .clustering import (
     cosine_distance,
     build_mst,
     extract_clusters,
-    mutual_reachability,
 )
 from .embedding import (
     AliasTable,

@@ -21,6 +21,10 @@ from .graph import GraphParseError, UnionFind
 # arithmetic finite when duplicate points merge
 _MAX_LAMBDA = 1e15
 
+# rows per block in the passes over the n x n distance matrix; bounds their
+# temporaries at O(_BLOCK * n) floats
+_BLOCK = 256
+
 
 @dataclass
 class ClusterParams:
@@ -84,14 +88,26 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def pairwise_cosine_distances(points: np.ndarray) -> np.ndarray:
-    """Dense all-pairs cosine distance matrix with a zero diagonal."""
+    """Dense all-pairs cosine distance matrix with a zero diagonal.
+
+    Holds one n x n float64 buffer (8·n² bytes) plus O(block·n) temporaries:
+    the Gram matrix is symmetrised and mapped to distances in place.
+    """
     X = np.asarray(points, dtype=np.float64)
     norms = np.linalg.norm(X, axis=1)
     zero = norms == 0.0
     U = X / np.where(zero, 1.0, norms)[:, None]
-    S = U @ U.T
-    D = S + S.T  # exact symmetry regardless of BLAS accumulation order
-    del S
+    D = U @ U.T
+    n = D.shape[0]
+    # D[i, j] and D[j, i] both become S[i, j] + S[j, i], the same float sum,
+    # so the matrix is exactly symmetric whatever order BLAS accumulated in
+    for a in range(0, n, _BLOCK):
+        A = slice(a, a + _BLOCK)
+        for b in range(a, n, _BLOCK):
+            B = slice(b, b + _BLOCK)
+            t = D[A, B] + D[B, A].T
+            D[A, B] = t
+            D[B, A] = t.T
     D *= -0.5
     D += 1.0
     np.clip(D, 0.0, 2.0, out=D)
@@ -103,23 +119,22 @@ def pairwise_cosine_distances(points: np.ndarray) -> np.ndarray:
 
 def core_distances(distances: np.ndarray, k: int) -> np.ndarray:
     """Distance to each point's k-th nearest neighbor (self excluded), read
-    from the dense all-pairs matrix of :func:`pairwise_cosine_distances`."""
+    from the dense all-pairs matrix of :func:`pairwise_cosine_distances`.
+
+    The matrix is partitioned in row blocks, so beyond that one n x n float64
+    buffer (8·n² bytes) only O(block·n) temporaries are allocated.
+    """
     D = np.asarray(distances, dtype=np.float64)
     n = D.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
     if k >= n:
         raise ValueError(f"k ({k}) must be smaller than the number of points ({n})")
-    # the self-distance 0 occupies one slot, so index k is the k-th neighbor;
-    # the copy lets the partitioned n x n buffer be freed
-    return np.partition(D, k, axis=1)[:, k].copy()
-
-
-def mutual_reachability(
-    a: np.ndarray, b: np.ndarray, core_a: float, core_b: float
-) -> float:
-    """max of the two core distances and the direct distance."""
-    return max(float(core_a), float(core_b), cosine_distance(a, b))
+    # the self-distance 0 occupies one slot, so index k is the k-th neighbor
+    cores = np.empty(n, dtype=np.float64)
+    for a in range(0, n, _BLOCK):
+        cores[a : a + _BLOCK] = np.partition(D[a : a + _BLOCK], k, axis=1)[:, k]
+    return cores
 
 
 def build_mst(distances: np.ndarray, cores: np.ndarray) -> list[tuple[int, int, float]]:
@@ -127,8 +142,9 @@ def build_mst(distances: np.ndarray, cores: np.ndarray) -> list[tuple[int, int, 
 
     ``distances`` is the dense all-pairs matrix of
     :func:`pairwise_cosine_distances`.  A float64 matrix is overwritten in
-    place with the mutual reachability distances, so no second n x n buffer
-    is allocated; pass a copy to keep the original.
+    place with the mutual reachability distances, so a :func:`cluster` call
+    holds one n x n float64 buffer (8·n² bytes) plus O(block·n) temporaries,
+    and this step adds only O(n); pass a copy to keep the original.
     """
     M = np.asarray(distances, dtype=np.float64)
     n = M.shape[0]

@@ -83,6 +83,30 @@ def _cosine(a, b) -> float:
     return min(2.0, max(0.0, d))
 
 
+def mutual_reachability(a, b, core_a: float, core_b: float) -> float:
+    """Scalar mutual reachability: the larger of both core distances and the
+    direct cosine distance."""
+    return max(float(core_a), float(core_b), _cosine(a, b))
+
+
+def dense_cosine_distances(points) -> np.ndarray:
+    """The all-pairs cosine distance matrix built with whole-matrix temporaries:
+    the Gram matrix plus its transpose in a second n x n buffer."""
+    X = np.asarray(points, dtype=np.float64)
+    norms = np.linalg.norm(X, axis=1)
+    zero = norms == 0.0
+    U = X / np.where(zero, 1.0, norms)[:, None]
+    S = U @ U.T
+    D = S + S.T
+    D *= -0.5
+    D += 1.0
+    np.clip(D, 0.0, 2.0, out=D)
+    D[zero, :] = 1.0
+    D[:, zero] = 1.0
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
 class _Tree:
     __slots__ = ("children", "dist", "size", "leaf")
 

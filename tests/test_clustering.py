@@ -1,11 +1,13 @@
 """Cosine distances, density machinery, hierarchy extraction, and the oracle."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fraudrings.clustering import (
+    _BLOCK,
     ClusterAssignment,
     ClusterParams,
     build_mst,
@@ -13,14 +15,16 @@ from fraudrings.clustering import (
     core_distances,
     cosine_distance,
     extract_clusters,
-    mutual_reachability,
     pairwise_cosine_distances,
     read_cluster_assignment,
     write_cluster_assignment,
 )
 from fraudrings.embedding import CombinedEmbedding
 
-from oracles import reference_hdbscan
+from oracles import dense_cosine_distances, mutual_reachability, reference_hdbscan
+
+# sizes on both sides of each block boundary of the blocked matrix passes
+BLOCK_EDGE_SIZES = (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
 
 
 def embedding_of(vectors) -> CombinedEmbedding:
@@ -32,6 +36,20 @@ def embedding_of(vectors) -> CombinedEmbedding:
 def sphere_points(rng, n, dim=16):
     pts = rng.normal(size=(n, dim))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def rows_with_zeros(rng, n, with_zero, dim=12):
+    pts = rng.normal(size=(n, dim))
+    if with_zero:
+        pts[rng.choice(n, size=max(1, n // 10), replace=False)] = 0.0
+    return pts
+
+
+def reach_matrix(pts, cores):
+    """The mutual reachability matrix that build_mst leaves in its input."""
+    M = pairwise_cosine_distances(pts)
+    build_mst(M, np.asarray(cores, dtype=float))
+    return M
 
 
 def two_blobs(rng, per_blob=20, dim=8, spread=0.02):
@@ -64,6 +82,12 @@ class TestCosineDistance:
         with pytest.raises(ValueError):
             cosine_distance(np.zeros(2), np.zeros(3))
 
+    @pytest.mark.parametrize("with_zero", [False, True])
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+    def test_matrix_bit_equal_to_dense_reference(self, rng, n, with_zero):
+        pts = rows_with_zeros(rng, n, with_zero)
+        assert np.array_equal(pairwise_cosine_distances(pts), dense_cosine_distances(pts))
+
 
 class TestCoreDistances:
     def test_three_collinear_points(self):
@@ -92,6 +116,14 @@ class TestCoreDistances:
         with pytest.raises(ValueError):
             core_distances(pairwise_cosine_distances(np.eye(3)), 3)
 
+    @pytest.mark.parametrize("with_zero", [False, True])
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES[1:])
+    def test_bit_equal_to_full_matrix_partition(self, rng, n, with_zero):
+        D = dense_cosine_distances(rows_with_zeros(rng, n, with_zero))
+        for k in sorted({1, 2, 5, n - 1} & set(range(1, n))):
+            expected = np.partition(D, k, axis=1)[:, k]
+            assert np.array_equal(core_distances(D, k), expected)
+
     def test_result_owns_its_memory(self, rng):
         # a view would keep the partitioned n x n copy alive
         cores = core_distances(pairwise_cosine_distances(sphere_points(rng, 50)), 3)
@@ -103,26 +135,36 @@ class TestMutualReachability:
         a, b = np.array([1.0, 0.0]), np.array([0.1, 1.0])
         d = cosine_distance(a, b)  # about 0.9
         assert d > 0.3
-        assert mutual_reachability(a, b, 0.2, 0.3) == pytest.approx(d)
+        M = reach_matrix(np.array([a, b]), [0.2, 0.3])
+        assert M[0, 1] == pytest.approx(d)
+        assert M[0, 1] == pytest.approx(mutual_reachability(a, b, 0.2, 0.3), abs=1e-12)
 
     def test_core_dominates(self):
         a, b = np.array([1.0, 0.0]), np.array([1.0, 0.05])
-        assert mutual_reachability(a, b, 0.5, 0.3) == 0.5
+        M = reach_matrix(np.array([a, b]), [0.5, 0.3])
+        assert M[0, 1] == M[1, 0] == mutual_reachability(a, b, 0.5, 0.3) == 0.5
 
     def test_symmetry(self, rng):
-        for _ in range(50):
-            a, b = rng.normal(size=4), rng.normal(size=4)
-            ca, cb = rng.random(), rng.random()
-            assert mutual_reachability(a, b, ca, cb) == mutual_reachability(b, a, cb, ca)
+        pts = rng.normal(size=(50, 4))
+        cores = rng.random(50)
+        M = reach_matrix(pts, cores)
+        assert np.array_equal(M, M.T)
+        for i in range(50):
+            for j in range(i + 1, 50):
+                expected = mutual_reachability(pts[i], pts[j], cores[i], cores[j])
+                assert M[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_never_below_distance(self, rng):
         pts = sphere_points(rng, 30)
         D = pairwise_cosine_distances(pts)
         cores = core_distances(D, 3)
+        M = D.copy()
+        build_mst(M, cores)
         for i in range(30):
             for j in range(i + 1, 30):
                 m = mutual_reachability(pts[i], pts[j], cores[i], cores[j])
-                assert m >= D[i, j] - 1e-12
+                assert M[i, j] == pytest.approx(m, abs=1e-12)
+                assert M[i, j] >= D[i, j]
 
     def test_matrix_helper_matches_scalar(self, rng):
         pts = sphere_points(rng, 20)
@@ -277,6 +319,25 @@ class TestCluster:
         monkeypatch.setattr(clustering, "pairwise_cosine_distances", counting)
         cluster(embedding_of(two_blobs(rng)), ClusterParams(min_cluster_size=5))
         assert calls == [40]
+
+    def test_peak_memory_one_distance_matrix(self):
+        # numpy reports its buffers to tracemalloc; a second n x n float64
+        # buffer anywhere in the call would reach 2 x 8 n^2 bytes
+        n = 1000
+        emb = embedding_of(sphere_points(np.random.default_rng(11), n))
+        # count only this call, and leave tracing on if the session had it on
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            cluster(emb, ClusterParams(min_cluster_size=5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak - base < 1.5 * 8 * n * n
 
     def test_deterministic(self, rng):
         pts = sphere_points(rng, 50)
