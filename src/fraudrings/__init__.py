@@ -13,7 +13,6 @@ from .clustering import (
     ClusterParams,
     cluster,
     core_distances,
-    cosine_distance,
     build_mst,
     extract_clusters,
 )
@@ -23,7 +22,6 @@ from .embedding import (
     EdgelessGraphError,
     EmbeddingConfig,
     EmbeddingMatrix,
-    NegativeSampler,
     combine_and_normalize,
     embed_graph,
     first_order_loss,

@@ -73,20 +73,6 @@ class ClusterAssignment:
         return int(np.sum(self.labels == -1))
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cos(a, b), in [0, 2].  Zero vectors are at distance 1 from everything."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("vectors must have equal dimensions")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 1.0
-    d = 1.0 - float(a @ b) / (na * nb)
-    return min(2.0, max(0.0, d))
-
-
 def pairwise_cosine_distances(points: np.ndarray) -> np.ndarray:
     """Dense all-pairs cosine distance matrix with a zero diagonal.
 
@@ -408,9 +394,14 @@ def read_cluster_assignment(source: Iterable[str]) -> ClusterAssignment:
         if len(parts) != 2:
             raise GraphParseError("cluster line needs 2 fields", lineno)
         try:
-            rows[int(parts[0])] = int(parts[1])
+            sid, label = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphParseError("bad cluster line", lineno) from None
+        if sid in rows:
+            raise GraphParseError(f"repeated cluster row {sid}", lineno)
+        if label < -1:
+            raise GraphParseError(f"cluster label {label} below -1 (noise)", lineno)
+        rows[sid] = label
     if sorted(rows) != list(range(len(rows))):
         raise GraphParseError("cluster rows must cover ids 0..n-1 exactly")
     labels = np.array([rows[i] for i in range(len(rows))], dtype=np.int64)

@@ -99,15 +99,6 @@ class AliasTable:
         self.probabilities = prob
         self.aliases = alias
 
-    def __len__(self) -> int:
-        return len(self.probabilities)
-
-    def sample(self, rng: np.random.Generator) -> int:
-        i = int(rng.integers(0, len(self.probabilities)))
-        if rng.random() < self.probabilities[i]:
-            return i
-        return int(self.aliases[i])
-
     def sample_array(self, rng: np.random.Generator, size) -> np.ndarray:
         idx = rng.integers(0, len(self.probabilities), size=size)
         accept = rng.random(size) < self.probabilities[idx]
@@ -218,27 +209,6 @@ def second_order_negative_gradients(
 
 def _noise_weights(graph: TransformedGraph) -> np.ndarray:
     return graph.weighted_degrees() ** 0.75
-
-
-class NegativeSampler:
-    """Draws super-node indices with probability ∝ weighted_degree^(3/4).
-
-    Isolated super-nodes (degree zero) are never drawn.
-    """
-
-    def __init__(self, graph: TransformedGraph, seed: int | np.random.Generator = 0):
-        w = _noise_weights(graph)
-        if w.size == 0 or float(w.sum()) <= 0.0:
-            raise ValueError("graph has zero total degree; nothing to sample")
-        self._alias = AliasTable(w)
-        self._rng = (
-            seed
-            if isinstance(seed, np.random.Generator)
-            else np.random.default_rng(seed & _SEED_MASK)
-        )
-
-    def draw(self, count: int = 1) -> np.ndarray:
-        return self._alias.sample_array(self._rng, count)
 
 
 _DRAW = 4096  # pairs drawn per call into the random stream
@@ -456,6 +426,8 @@ def read_embedding(source: Iterable[str]) -> CombinedEmbedding:
             raise GraphParseError(f"expected {dim} values, got {vec.size}", lineno)
         if not np.isfinite(vec).all():
             raise GraphParseError("embedding values must be finite", lineno)
+        if sid in rows:
+            raise GraphParseError(f"repeated embedding row {sid}", lineno)
         rows[sid] = vec
     if n is None:
         raise GraphParseError("missing #embedding header")

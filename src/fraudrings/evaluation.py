@@ -386,6 +386,8 @@ def read_ground_truth(
         token, ring = parts
         if token not in token_index:
             raise GraphParseError(f"unknown account token {token!r}", lineno)
+        if token_index[token] in ring_of:
+            raise GraphParseError(f"repeated account token {token!r}", lineno)
         try:
             ring_of[token_index[token]] = int(ring)
         except ValueError:

@@ -116,15 +116,11 @@ class UnionFind:
     passed to :meth:`union`; the merge order never changes the final partition.
     """
 
-    __slots__ = ("parent", "rank", "component_count")
+    __slots__ = ("parent", "rank")
 
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.rank = [0] * n
-        self.component_count = n
-
-    def __len__(self) -> int:
-        return len(self.parent)
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -142,19 +138,7 @@ class UnionFind:
         self.parent[rv] = ru
         if self.rank[ru] == self.rank[rv]:
             self.rank[ru] += 1
-        self.component_count -= 1
         return True
-
-    def same(self, u: int, v: int) -> bool:
-        return self.find(u) == self.find(v)
-
-    def add(self) -> int:
-        """Append a fresh singleton element and return its index."""
-        i = len(self.parent)
-        self.parent.append(i)
-        self.rank.append(0)
-        self.component_count += 1
-        return i
 
 
 @dataclass(frozen=True)
@@ -406,6 +390,7 @@ def read_transformed_graph(source: Iterable[str]) -> TransformedGraph:
     member_of: list[int] = []
     edges: list[tuple[int, int, float]] = []
     pairs: set[tuple[int, int]] = set()
+    seen_tokens: set[str] = set()
     declared: int | None = None
     for lineno, line in enumerate(source, start=1):
         line = line.rstrip("\n")
@@ -445,6 +430,9 @@ def read_transformed_graph(source: Iterable[str]) -> TransformedGraph:
             sid = int(parts[1])
         except ValueError:
             raise GraphParseError("bad super-node id", lineno) from None
+        if parts[0] in seen_tokens:
+            raise GraphParseError(f"repeated account token {parts[0]!r}", lineno)
+        seen_tokens.add(parts[0])
         tokens.append(parts[0])
         member_of.append(sid)
 

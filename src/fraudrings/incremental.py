@@ -1,7 +1,7 @@
 """Micro-batch maintenance of the live super-node graph, embeddings, and labels.
 
 Supported update events: new accounts (singleton super-nodes), hard links
-(online union-find merges with size-weighted embedding averaging), soft links
+(super-node merges with size-weighted embedding averaging), soft links
 (edge weight increments plus a bounded number of online SGD touch-ups), and
 exponential temporal decay of edge weights.  A full refresh retrains the
 embedding from the current graph and re-clusters.
@@ -33,7 +33,6 @@ from .graph import (
     SoftLink,
     SuperNode,
     TransformedGraph,
-    UnionFind,
 )
 
 PRUNE_THRESHOLD = 1e-9
@@ -95,9 +94,11 @@ def _edge_key(a: int, b: int) -> tuple[int, int]:
 class PipelineState:
     """Single-writer live state.
 
-    Super-nodes live in dense "slots"; merges compact slots in place, so slot
-    ids are stable only between structural updates.  Snapshots re-index
-    canonically (ascending smallest member) for comparison and refresh.
+    Super-nodes live in dense "slots": ``members[s]`` lists slot s's accounts
+    in ascending order and ``slot_of[a]`` is account a's slot.  Merges compact
+    slots in place, so slot ids are stable only between structural updates.
+    Snapshots re-index canonically (ascending smallest member) for comparison
+    and refresh.
     """
 
     def __init__(
@@ -121,14 +122,13 @@ class PipelineState:
 
         self.tokens: list[str] = []
         self.token_index: dict[str, int] = {}
-        self.uf = UnionFind(0)
+        self.slot_of: list[int] = []
         self.members: list[list[int]] = []
         self.embedding = np.zeros((0, dim), dtype=np.float64)
         self.labels = np.zeros(0, dtype=np.int64)
         self.pending: set[int] = set()
         self.edges: dict[tuple[int, int], EdgeState] = {}
         self.adj: dict[int, set[int]] = {}
-        self.root_slot: dict[int, int] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -160,22 +160,28 @@ class PipelineState:
         )
         state.tokens = list(graph.tokens)
         state.token_index = {t: i for i, t in enumerate(state.tokens)}
-        state.uf = UnionFind(len(state.tokens))
-        for sn in graph.super_nodes:
-            state.members.append(list(sn.members))
-            anchor = sn.members[0]
-            for other in sn.members[1:]:
-                state.uf.union(anchor, other)
-        for slot in range(len(state.members)):
-            state.root_slot[state.uf.find(state.members[slot][0])] = slot
-        state.embedding = np.array(embedding.vectors, dtype=np.float64, copy=True, order="C")
-        state.labels = np.array(assignment.labels, dtype=np.int64, copy=True)
-        state.adj = {s: set() for s in range(len(state.members))}
-        for i, j, w in graph.edges:
-            state.edges[_edge_key(i, j)] = EdgeState(base_weight=w, last_day=now)
-            state.adj[i].add(j)
-            state.adj[j].add(i)
+        edges = {_edge_key(i, j): EdgeState(base_weight=w, last_day=now) for i, j, w in graph.edges}
+        state._adopt(graph, embedding.vectors, assignment.labels, edges)
         return state
+
+    def _adopt(
+        self,
+        graph: TransformedGraph,
+        vectors: np.ndarray,
+        labels: np.ndarray,
+        edges: dict[tuple[int, int], EdgeState],
+    ) -> None:
+        """Take the graph's super-nodes as the slots, with their rows, labels and edges."""
+        self.members = [sorted(sn.members) for sn in graph.super_nodes]
+        self.slot_of = graph.membership.tolist()
+        self.embedding = np.array(vectors, dtype=np.float64, copy=True, order="C")
+        self.labels = np.array(labels, dtype=np.int64, copy=True)
+        self.edges = edges
+        self.adj = {s: set() for s in range(len(self.members))}
+        for i, j in edges:
+            self.adj[i].add(j)
+            self.adj[j].add(i)
+        self.pending.clear()
 
     # -- bookkeeping helpers -------------------------------------------------
 
@@ -188,7 +194,7 @@ class PipelineState:
         return len(self.members)
 
     def slot_of_account(self, account: int) -> int:
-        return self.root_slot[self.uf.find(account)]
+        return self.slot_of[account]
 
     def resolve(self, token: str) -> int:
         idx = self.token_index.get(token)
@@ -205,34 +211,44 @@ class PipelineState:
         if day is not None and day > self.now:
             self.now = day
 
-    def _new_slot(self, account: int) -> int:
-        slot = len(self.members)
-        self.members.append([account])
-        self.embedding = np.vstack([self.embedding, np.zeros((1, self.dim))])
-        self.labels = np.append(self.labels, -1)
-        self.adj[slot] = set()
-        self.root_slot[self.uf.find(account)] = slot
-        return slot
+    def _move_edges(self, src: int, dst: int) -> None:
+        """Re-attach slot ``src``'s edges to ``dst`` and drop ``src``'s adjacency.
+
+        A weight already on (dst, nb) is summed and the later day kept; an edge
+        between src and dst becomes internal and is dropped.  A ``dst`` with no
+        adjacency entry takes over ``src``'s set object itself, so its iteration
+        order, and with it the edge order of later merges, does not change.
+        """
+        neighbors = self.adj.pop(src)
+        dst_adj = self.adj.setdefault(dst, neighbors)
+        for nb in list(neighbors):
+            es = self.edges.pop(_edge_key(src, nb))
+            self.adj[nb].discard(src)
+            if nb == dst:
+                continue
+            key = _edge_key(dst, nb)
+            existing = self.edges.get(key)
+            if existing is None:
+                self.edges[key] = es
+            else:
+                existing.base_weight += es.base_weight
+                existing.last_day = max(existing.last_day, es.last_day)
+            dst_adj.add(nb)
+            self.adj[nb].add(dst)
 
     def _remove_slot(self, dead: int) -> None:
+        """Fill slot ``dead``, whose edges have been moved off, with the last slot."""
         last = len(self.members) - 1
         if dead != last:
-            # move the last slot into the vacated position
-            for nb in list(self.adj[last]):
-                es = self.edges.pop(_edge_key(last, nb))
-                self.adj[nb].discard(last)
-                self.edges[_edge_key(dead, nb)] = es
-                self.adj[nb].add(dead)
-            self.adj[dead] = self.adj.pop(last)
+            self._move_edges(last, dead)
             self.members[dead] = self.members[last]
+            for a in self.members[dead]:
+                self.slot_of[a] = dead
             self.embedding[dead] = self.embedding[last]
             self.labels[dead] = self.labels[last]
-            self.root_slot[self.uf.find(self.members[dead][0])] = dead
             if last in self.pending:
                 self.pending.discard(last)
                 self.pending.add(dead)
-        else:
-            self.adj.pop(last, None)
         self.members.pop()
         self.embedding = self.embedding[:-1]
         self.labels = self.labels[:-1]
@@ -268,21 +284,17 @@ class PipelineState:
 
     # -- snapshots ----------------------------------------------------------
 
-    def _slot_order(self) -> list[int]:
-        return sorted(range(self.num_supernodes), key=lambda s: self.members[s][0])
-
     def snapshot(self, *, decayed: bool = True) -> tuple[TransformedGraph, list[int]]:
         """Canonical transformed graph plus the old-slot order used to build it."""
-        order = self._slot_order()
-        new_of = {old: new for new, old in enumerate(order)}
+        order = sorted(range(self.num_supernodes), key=lambda s: self.members[s][0])
         supers = [
-            SuperNode(id=new, members=tuple(sorted(self.members[old])))
+            SuperNode(id=new, members=tuple(self.members[old]))
             for new, old in enumerate(order)
         ]
-        membership = np.empty(self.num_accounts, dtype=np.int64)
-        for new, old in enumerate(order):
-            for a in self.members[old]:
-                membership[a] = new
+        rank = np.empty(self.num_supernodes, dtype=np.int64)
+        rank[order] = np.arange(self.num_supernodes, dtype=np.int64)
+        membership = rank[np.asarray(self.slot_of, dtype=np.int64)]
+        new_of = rank.tolist()
         edges = []
         for (i, j), es in self.edges.items():
             w = self.effective_weight((i, j)) if decayed else es.base_weight
@@ -311,8 +323,12 @@ def apply_new_account(state: PipelineState, token: str, day: float | None = None
     account = len(state.tokens)
     state.tokens.append(token)
     state.token_index[token] = account
-    state.uf.add()
-    slot = state._new_slot(account)
+    slot = state.num_supernodes
+    state.members.append([account])
+    state.slot_of.append(slot)
+    state.embedding = np.vstack([state.embedding, np.zeros((1, state.dim))])
+    state.labels = np.append(state.labels, -1)
+    state.adj[slot] = set()
     state.pending.add(slot)
     return state
 
@@ -331,11 +347,9 @@ def apply_hard_link(
     if not (0 <= link.u < n and 0 <= link.v < n):
         raise UnknownAccountError(f"hard link endpoint out of range: {link}")
     state._advance(day)
-    ru, rv = state.uf.find(link.u), state.uf.find(link.v)
-    if ru == rv:
+    a, b = state.slot_of[link.u], state.slot_of[link.v]
+    if a == b:
         return state
-    a = state.root_slot[ru]
-    b = state.root_slot[rv]
     keep, dead = (a, b) if a < b else (b, a)
 
     size_keep = len(state.members[keep])
@@ -346,31 +360,14 @@ def apply_hard_link(
     norm = float(np.linalg.norm(merged_vec))
     state.embedding[keep] = merged_vec / norm if norm > 0.0 else merged_vec
 
+    for acc in state.members[dead]:
+        state.slot_of[acc] = keep
     state.members[keep] = sorted(state.members[keep] + state.members[dead])
     state.labels[keep] = -1
     state.pending.discard(keep)
     state.pending.discard(dead)
 
-    state.uf.union(link.u, link.v)
-    del state.root_slot[ru]
-    del state.root_slot[rv]
-    state.root_slot[state.uf.find(link.u)] = keep
-
-    for nb in list(state.adj[dead]):
-        es = state.edges.pop(_edge_key(dead, nb))
-        state.adj[nb].discard(dead)
-        if nb == keep:
-            continue  # the merged pair's own edge becomes internal
-        key = _edge_key(keep, nb)
-        existing = state.edges.get(key)
-        if existing is None:
-            state.edges[key] = es
-        else:
-            existing.base_weight += es.base_weight
-            existing.last_day = max(existing.last_day, es.last_day)
-        state.adj[keep].add(nb)
-        state.adj[nb].add(keep)
-    state.adj[dead] = set()
+    state._move_edges(dead, keep)
     state._remove_slot(dead)
     return state
 
@@ -466,21 +463,8 @@ def full_refresh(
     assignment = cluster(emb, params)
 
     new_of = {old: new for new, old in enumerate(order)}
-    state.members = [sorted(graph.super_nodes[new].members) for new in range(len(order))]
-    state.embedding = np.array(emb.vectors, dtype=np.float64, copy=True)
-    state.labels = np.array(assignment.labels, dtype=np.int64, copy=True)
-    state.edges = {
-        _edge_key(new_of[i], new_of[j]): es
-        for (i, j), es in state.edges.items()
-    }
-    state.adj = {s: set() for s in range(state.num_supernodes)}
-    for i, j in state.edges:
-        state.adj[i].add(j)
-        state.adj[j].add(i)
-    state.root_slot = {
-        state.uf.find(members[0]): slot for slot, members in enumerate(state.members)
-    }
-    state.pending.clear()
+    edges = {_edge_key(new_of[i], new_of[j]): es for (i, j), es in state.edges.items()}
+    state._adopt(graph, emb.vectors, assignment.labels, edges)
     state.refresh_count += 1
     return state
 

@@ -74,7 +74,10 @@ def direct_soft_aggregation(labels, soft_links) -> dict[tuple[int, int], float]:
 # -- brute-force density clustering --------------------------------------------
 
 
-def _cosine(a, b) -> float:
+def cosine_distance(a, b) -> float:
+    """1 - cos(a, b), in [0, 2].  Zero vectors are at distance 1 from everything."""
+    if len(a) != len(b):
+        raise ValueError("vectors must have equal dimensions")
     na = math.sqrt(sum(x * x for x in a))
     nb = math.sqrt(sum(x * x for x in b))
     if na == 0.0 or nb == 0.0:
@@ -86,7 +89,7 @@ def _cosine(a, b) -> float:
 def mutual_reachability(a, b, core_a: float, core_b: float) -> float:
     """Scalar mutual reachability: the larger of both core distances and the
     direct cosine distance."""
-    return max(float(core_a), float(core_b), _cosine(a, b))
+    return max(float(core_a), float(core_b), cosine_distance(a, b))
 
 
 def dense_cosine_distances(points) -> np.ndarray:
@@ -144,7 +147,7 @@ def reference_hdbscan(points, min_cluster_size: int, min_samples: int):
     D = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            d = _cosine(pts[i], pts[j])
+            d = cosine_distance(pts[i], pts[j])
             D[i][j] = D[j][i] = d
     k = min(min_samples, n - 1)
     cores = [sorted(D[i])[k] for i in range(n)]

@@ -13,15 +13,20 @@ from fraudrings.clustering import (
     build_mst,
     cluster,
     core_distances,
-    cosine_distance,
     extract_clusters,
     pairwise_cosine_distances,
     read_cluster_assignment,
     write_cluster_assignment,
 )
 from fraudrings.embedding import CombinedEmbedding
+from fraudrings.graph import GraphParseError
 
-from oracles import dense_cosine_distances, mutual_reachability, reference_hdbscan
+from oracles import (
+    cosine_distance,
+    dense_cosine_distances,
+    mutual_reachability,
+    reference_hdbscan,
+)
 
 # sizes on both sides of each block boundary of the blocked matrix passes
 BLOCK_EDGE_SIZES = (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
@@ -403,3 +408,15 @@ class TestClusterIO:
         assert "# noise 1" in text
         back = read_cluster_assignment(text.splitlines())
         assert back.labels.tolist() == [0, 0, -1, 1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "lines, bad_line",
+        [
+            (["0\t0", "1\t1", "1\t0"], 3),  # repeated row: the later one must not win
+            (["0\t0", "1\t-7", "2\t0"], 2),  # -1 is the only noise label
+        ],
+    )
+    def test_bad_row_rejected_with_line_number(self, lines, bad_line):
+        with pytest.raises(GraphParseError) as exc:
+            read_cluster_assignment(lines)
+        assert exc.value.line_number == bad_line

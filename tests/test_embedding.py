@@ -12,7 +12,7 @@ from fraudrings.embedding import (
     EdgelessGraphError,
     EmbeddingConfig,
     EmbeddingMatrix,
-    NegativeSampler,
+    _noise_weights,
     _sgd_block,
     combine_and_normalize,
     embed_graph,
@@ -62,11 +62,6 @@ class TestAliasTable:
         b = AliasTable([5.0, 20.0, 12.5, 40.0])
         np.testing.assert_allclose(a.probabilities, b.probabilities, atol=1e-12)
         assert np.array_equal(a.aliases, b.aliases)
-
-    def test_scalar_sample(self, rng):
-        table = AliasTable([2.0, 1.0])
-        draws = [table.sample(rng) for _ in range(1000)]
-        assert set(draws) <= {0, 1}
 
 
 class TestSigmoid:
@@ -259,32 +254,34 @@ class TestSgdBlock:
             np.testing.assert_allclose(blk_c, seq_c, rtol=0, atol=1e-12)
 
 
+def noise_draws(g, seed: int, n: int) -> np.ndarray:
+    """Negative-sample draws as training takes them: ∝ weighted_degree^(3/4)."""
+    return AliasTable(_noise_weights(g)).sample_array(np.random.default_rng(seed), n)
+
+
 class TestNegativeSampler:
     def test_equal_degrees_split_evenly(self):
         g = ring_graph([(0, 1, 1.0)], 2)
-        sampler = NegativeSampler(g, seed=11)
-        draws = sampler.draw(1_000_000)
+        draws = noise_draws(g, 11, 1_000_000)
         assert abs(np.mean(draws == 0) - 0.5) < 0.01
 
     def test_degree_three_quarters_ratio(self):
         # degrees 16 and 1 via a hub: target frequency 8:1
         g = ring_graph([(0, 1, 16.0), (0, 2, 1.0)], 3)
         # nodes 1 and 2 have weighted degrees 16 and 1
-        sampler = NegativeSampler(g, seed=5)
-        draws = sampler.draw(1_000_000)
+        draws = noise_draws(g, 5, 1_000_000)
         n1 = np.sum(draws == 1)
         n2 = np.sum(draws == 2)
         assert abs(n1 / (n1 + n2) - 8.0 / 9.0) < 0.01
 
     def test_isolated_node_never_sampled(self):
         g = ring_graph([(0, 1, 2.0)], 3)
-        sampler = NegativeSampler(g, seed=3)
-        assert not np.any(sampler.draw(200_000) == 2)
+        assert not np.any(noise_draws(g, 3, 200_000) == 2)
 
     def test_zero_degree_graph_rejected(self):
         g = ring_graph([], 4)
         with pytest.raises(ValueError):
-            NegativeSampler(g)
+            AliasTable(_noise_weights(g))
 
 
 def two_block_graph(rng, block=20, p_in=0.4, p_out=0.02):
@@ -478,6 +475,12 @@ class TestEmbeddingIO:
         with pytest.raises(GraphParseError) as exc:
             read_embedding(lines)
         assert exc.value.line_number == 3
+
+    def test_repeated_row_rejected_with_line_number(self):
+        lines = ["#embedding 2 2", "0\t1 0", "1\t0 1", "1\t0.6 0.8"]
+        with pytest.raises(GraphParseError) as exc:
+            read_embedding(lines)
+        assert exc.value.line_number == 4
 
     def test_embed_graph_edgeless_emits_zeros(self):
         g = ring_graph([], 3)

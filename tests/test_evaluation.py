@@ -296,3 +296,10 @@ class TestGroundTruthIO:
 
         with pytest.raises(GraphParseError):
             read_ground_truth(["ghost\t0"], {"real": 0})
+
+    def test_repeated_token_rejected_with_line_number(self):
+        from fraudrings.graph import GraphParseError
+
+        with pytest.raises(GraphParseError) as err:
+            read_ground_truth(["a\t0", "b\t1", "a\t1"], {"a": 0, "b": 1})
+        assert err.value.line_number == 3

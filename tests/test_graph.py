@@ -129,17 +129,9 @@ class TestUnionFind:
         assert uf.union(0, 1)
         assert uf.union(1, 2)
         assert not uf.union(0, 2)
-        assert uf.same(0, 2)
-        assert not uf.same(0, 3)
-        assert uf.component_count == 3
-
-    def test_add_grows_structure(self):
-        uf = UnionFind(2)
-        idx = uf.add()
-        assert idx == 2
-        assert uf.component_count == 3
-        uf.union(0, 2)
-        assert uf.same(0, 2)
+        assert uf.find(0) == uf.find(2)
+        assert uf.find(0) != uf.find(3)
+        assert len({uf.find(a) for a in range(5)}) == 3
 
 
 class TestFindComponents:
@@ -160,7 +152,7 @@ class TestFindComponents:
     def test_no_hard_links_gives_singletons(self):
         g = HeterogeneousGraph.from_links([f"t{i}" for i in range(7)], [], [])
         uf = find_components(g)
-        assert uf.component_count == 7
+        assert len({uf.find(a) for a in range(7)}) == 7
 
     def test_matches_bfs_oracle_on_random_graphs(self, rng):
         for _ in range(50):
@@ -337,6 +329,11 @@ class TestTransformedGraphIO:
         with pytest.raises(GraphParseError) as err:
             read_transformed_graph(lines)
         assert err.value.line_number == len(lines)
+
+    def test_repeated_token_rejected_with_line_number(self):
+        with pytest.raises(GraphParseError) as err:
+            read_transformed_graph(["#supernodes 2", "a\t0", "a\t1"])
+        assert err.value.line_number == 3
 
     def test_weight_printed_six_decimals(self):
         t = transform(fixture_graph())

@@ -135,7 +135,7 @@ class TestHardLink:
                     SoftLink(int(u), int(v), "cookie", float(rng.integers(1, 5)) * 0.5),
                 )
             u, v = rng.integers(0, n, 2)
-            if u == v or state.uf.same(int(u), int(v)):
+            if u == v or state.slot_of_account(int(u)) == state.slot_of_account(int(v)):
                 continue
             si = state.slot_of_account(int(u))
             sj = state.slot_of_account(int(v))
@@ -439,21 +439,21 @@ class TestFullRefresh:
 
 
 def check_state_invariants(state):
-    """Structural consistency: slots, union-find, edges, and adjacency agree."""
+    """Structural consistency: slots, account->slot map, edges, and adjacency agree."""
     seen_accounts = []
     for slot, members in enumerate(state.members):
-        assert members == sorted(members)
-        roots = {state.uf.find(a) for a in members}
-        assert len(roots) == 1
-        assert state.root_slot[roots.pop()] == slot
+        assert members and members == sorted(members)
+        assert all(state.slot_of[a] == slot for a in members)
         seen_accounts.extend(members)
     assert sorted(seen_accounts) == list(range(state.num_accounts))
+    assert len(state.slot_of) == state.num_accounts
     assert state.embedding.shape == (state.num_supernodes, state.dim)
     assert len(state.labels) == state.num_supernodes
     for (i, j), es in state.edges.items():
         assert 0 <= i < j < state.num_supernodes
         assert es.base_weight > 0
         assert j in state.adj[i] and i in state.adj[j]
+    assert sorted(state.adj) == list(range(state.num_supernodes))
     for slot, neighbors in state.adj.items():
         for nb in neighbors:
             assert (min(slot, nb), max(slot, nb)) in state.edges
