@@ -392,9 +392,9 @@ def write_embedding(emb: CombinedEmbedding, out: TextIO) -> None:
     """Serialize: header ``#embedding <n> <dim>``, then ``id <TAB> v1 v2 ...``."""
     n, dim = emb.vectors.shape
     out.write(f"#embedding {n} {dim}\n")
+    row = "%d\t" + " ".join(["%.8g"] * dim) + "\n"
     for sid in range(n):
-        values = " ".join(f"{v:.8g}" for v in emb.vectors[sid])
-        out.write(f"{sid}\t{values}\n")
+        out.write(row % (sid, *emb.vectors[sid].tolist()))
 
 
 def read_embedding(source: Iterable[str]) -> CombinedEmbedding:
@@ -406,11 +406,15 @@ def read_embedding(source: Iterable[str]) -> CombinedEmbedding:
         if not line:
             continue
         if line.startswith("#embedding"):
+            if n is not None:
+                raise GraphParseError("repeated #embedding header", lineno)
             parts = line.split()
             try:
                 n, dim = int(parts[1]), int(parts[2])
             except (IndexError, ValueError):
                 raise GraphParseError("bad #embedding header", lineno) from None
+            if n < 0 or dim < 0:
+                raise GraphParseError(f"negative #embedding size {n} x {dim}", lineno)
             continue
         if line.startswith("#"):
             continue
@@ -419,7 +423,7 @@ def read_embedding(source: Iterable[str]) -> CombinedEmbedding:
         sid_str, _, values = line.partition("\t")
         try:
             sid = int(sid_str)
-            vec = np.array([float(v) for v in values.split()], dtype=np.float64)
+            vec = np.array(values.split(), dtype=np.float64)
         except ValueError:
             raise GraphParseError("bad embedding row", lineno) from None
         if vec.size != dim:

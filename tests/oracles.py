@@ -110,6 +110,38 @@ def dense_cosine_distances(points) -> np.ndarray:
     return D
 
 
+def reference_prim(M: np.ndarray) -> list[tuple[int, int, float]]:
+    """Dense Prim over a finished mutual reachability matrix, with a masked
+    argmin and fresh temporaries per vertex.  ``build_mst`` must return this
+    edge list exactly, ties included."""
+    n = M.shape[0]
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best = M[0].copy()
+    best_from = np.zeros(n, dtype=np.int64)
+    best[0] = np.inf
+    edges = []
+    for _ in range(n - 1):
+        v = int(np.argmin(np.where(in_tree, np.inf, best)))
+        edges.append((int(best_from[v]), v, float(best[v])))
+        in_tree[v] = True
+        improved = (M[v] < best) & ~in_tree
+        best[improved] = M[v][improved]
+        best_from[improved] = v
+        best[v] = np.inf
+    return edges
+
+
+def reference_embedding_text(vectors) -> str:
+    """The embedding file format written one f-string per value."""
+    n, dim = vectors.shape
+    lines = [f"#embedding {n} {dim}\n"]
+    for sid in range(n):
+        values = " ".join(f"{v:.8g}" for v in vectors[sid])
+        lines.append(f"{sid}\t{values}\n")
+    return "".join(lines)
+
+
 class _Tree:
     __slots__ = ("children", "dist", "size", "leaf")
 

@@ -26,10 +26,13 @@ from oracles import (
     dense_cosine_distances,
     mutual_reachability,
     reference_hdbscan,
+    reference_prim,
 )
 
-# sizes on both sides of each block boundary of the blocked matrix passes
-BLOCK_EDGE_SIZES = (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+# sizes on both sides of row-block boundaries of the blocked matrix passes
+# (the first and the eighth), and past the BLAS blocks of the Gram product,
+# whose exact symmetry the distance build relies on
+BLOCK_EDGE_SIZES = (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 255, 256, 257, 515, 1025)
 
 
 def embedding_of(vectors) -> CombinedEmbedding:
@@ -231,6 +234,23 @@ class TestBuildMst:
         with pytest.raises(ValueError):
             build_mst(pairwise_cosine_distances(np.zeros((1, 3))), np.zeros(1))
 
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, _BLOCK + 1, 257, 1200])
+    def test_edges_identical_to_reference_prim(self, rng, n, grid):
+        if grid:
+            # small integer coordinates: few distinct distances, many ties
+            pts = rng.integers(-2, 3, size=(n, 4)).astype(float)
+            pts[~pts.any(axis=1), 0] = 1.0
+        else:
+            pts = rng.normal(size=(n, 8))
+        D = pairwise_cosine_distances(pts)
+        cores = core_distances(D, min(5, n - 1))
+        M = np.maximum(D, np.maximum.outer(cores, cores))
+        np.fill_diagonal(M, 0.0)
+        edges = build_mst(D, cores)
+        assert np.array_equal(D, M)
+        assert edges == reference_prim(M)
+
 
 class TestExtractClusters:
     def test_two_well_separated_blobs(self, rng):
@@ -414,6 +434,8 @@ class TestClusterIO:
         [
             (["0\t0", "1\t1", "1\t0"], 3),  # repeated row: the later one must not win
             (["0\t0", "1\t-7", "2\t0"], 2),  # -1 is the only noise label
+            (["0\t0", "1\t5"], 2),  # two clusters must be labelled 0 and 1
+            (["0\t1", "1\t-1", "2\t1"], 1),  # one cluster must be labelled 0
         ],
     )
     def test_bad_row_rejected_with_line_number(self, lines, bad_line):

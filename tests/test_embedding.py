@@ -27,7 +27,7 @@ from fraudrings.embedding import (
 from fraudrings.graph import GraphParseError
 
 from helpers import ring_graph
-from oracles import sequential_sgd_step
+from oracles import reference_embedding_text, sequential_sgd_step
 
 
 class TestAliasTable:
@@ -469,7 +469,8 @@ class TestEmbeddingIO:
         np.testing.assert_allclose(back.vectors, vectors, atol=1e-7)
         assert back.normalized
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    # the last two are not numbers to float(), which the parser must follow
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0x10", "1,5"])
     def test_non_finite_value_rejected_with_line_number(self, bad):
         lines = ["#embedding 2 2", "0\t0.6 0.8", f"1\t{bad} 0"]
         with pytest.raises(GraphParseError) as exc:
@@ -481,6 +482,38 @@ class TestEmbeddingIO:
         with pytest.raises(GraphParseError) as exc:
             read_embedding(lines)
         assert exc.value.line_number == 4
+
+    def test_repeated_header_rejected_with_line_number(self):
+        # a second header must not reset the size the rows are checked against
+        lines = ["#embedding 1 2", "0\t1 0", "#embedding 2 2", "1\t0 1"]
+        with pytest.raises(GraphParseError) as exc:
+            read_embedding(lines)
+        assert exc.value.line_number == 3
+
+    @pytest.mark.parametrize("header", ["#embedding -1 2", "#embedding 2 -1"])
+    def test_negative_header_size_rejected_with_line_number(self, header):
+        with pytest.raises(GraphParseError) as exc:
+            read_embedding([header])
+        assert exc.value.line_number == 1
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            [[-0.0, 5e-324, 1e300, -1e-300], [0.0, 0.0, 0.0, 0.0], [1e-300, -1e300, 0.1, 1 / 3]],
+            [[0.5], [-0.0], [5e-324], [-1e300]],
+            np.zeros((0, 3)),
+            np.random.default_rng(7).normal(size=(40, 16)),
+        ],
+        ids=["extremes", "dim1", "empty", "normal"],
+    )
+    def test_writer_bytes_equal_per_value_reference(self, vectors):
+        from fraudrings.embedding import CombinedEmbedding
+
+        vectors = np.asarray(vectors, dtype=np.float64)
+        zero = ~vectors.any(axis=1)
+        buf = io.StringIO()
+        write_embedding(CombinedEmbedding(vectors=vectors, normalized=False, zero_rows=zero), buf)
+        assert buf.getvalue() == reference_embedding_text(vectors)
 
     def test_embed_graph_edgeless_emits_zeros(self):
         g = ring_graph([], 3)

@@ -476,6 +476,23 @@ class TestCli:
         assert code == 2
         assert "line 4" in capsys.readouterr().err
 
+    def test_negative_embedding_header_is_data_error(self, tmp_path, capsys):
+        graph_file = tmp_path / "t.tsv"
+        graph_file.write_text("#supernodes 2\na\t0\nb\t1\nE\t0\t1\t1.000000\n")
+        emb_file = tmp_path / "e.tsv"
+        emb_file.write_text("#embedding -1 2\n")
+        code = cli(
+            [
+                "cluster",
+                "--graph", str(graph_file),
+                "--embedding", str(emb_file),
+                "--out-labels", str(tmp_path / "l.tsv"),
+                "--out-report", str(tmp_path / "r.tsv"),
+            ]
+        )
+        assert code == 2
+        assert "line 1" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert cli(["--help"]) == 0
 
